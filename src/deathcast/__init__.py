@@ -8,10 +8,9 @@ hazard generator with an exact probability oracle (`synth`), and the CLI
 (`cli`).
 """
 
-from .dataset import (BalancedBatch, DatasetManifest, LabeledSample, Shard, ShardPool,
-                      SplitManifest, build_dataset, downsample, label_frames, read_shard,
-                      sample_balanced_batch, split_matches, undersample_negatives,
-                      write_shards)
+from .dataset import (BalancedBatch, DatasetManifest, Shard, ShardPool, SplitManifest,
+                      build_dataset, downsample, label_frames, read_shard,
+                      sample_balanced_batch, split_matches, write_shards)
 from .evaluation import (EvalReport, MispredictionCounts, PRCurve, PredictionTimeline,
                          ThresholdMetrics, TimeToDeathDistribution, average_precision,
                          classify_mispredictions, evaluate_test, export_timeline, pr_curve,

@@ -19,7 +19,7 @@ from . import features as ft
 from . import match_data as md
 from . import synth as sy
 from . import train as tr
-from .errors import DeathcastError, InsufficientPositives, SchemaViolation
+from .errors import DeathcastError, InsufficientPositives, SchemaViolation, UsageError
 from .evaluation import (evaluate_test, export_timeline, save_eval_report,
                          save_timeline, save_ttd_distribution, time_to_death_distribution)
 from .model import ModelConfig, default_config, load_checkpoint
@@ -52,24 +52,39 @@ def _read_config_file(path):
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise SchemaViolation(f"{path}: bad config line {raw!r}")
+            raise UsageError(f"{path}: bad config line {raw!r}")
         key, val = line.split("=", 1)
         out[key.strip()] = val.strip()
     return out
 
 
+def _cast(name, text, origin):
+    """A knob's value from the environment or a config file."""
+    try:
+        value = _CASTS[name](text)
+    except ValueError:
+        raise UsageError(f"{origin}: bad value {text!r} for {name}") from None
+    if name == "schema" and value not in ft.VARIANTS:
+        raise UsageError(f"{origin}: schema must be one of {ft.VARIANTS}, got {text!r}")
+    return value
+
+
 def resolve_options(args):
-    """flags > env > config file > defaults, for the shared knobs."""
-    file_vals = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    """flags > env > config file > defaults, for the shared knobs.
+
+    A value the flag parser would refuse raises UsageError (exit 2).
+    """
+    config = getattr(args, "config", None)
+    file_vals = _read_config_file(config) if config else {}
     resolved = {}
     for name, default in _SHARED_DEFAULTS.items():
-        cast = _CASTS[name]
         value = default
         if name in file_vals:
-            value = cast(file_vals[name])
-        env = os.environ.get(ENV_PREFIX + name.upper())
+            value = _cast(name, file_vals[name], config)
+        env_name = ENV_PREFIX + name.upper()
+        env = os.environ.get(env_name)
         if env is not None:
-            value = cast(env)
+            value = _cast(name, env, env_name)
         flag = getattr(args, name, None)
         if flag is not None:
             value = flag
@@ -384,6 +399,10 @@ def main(argv=None) -> int:
         print(f"error\tkind={type(exc).__name__}\texit={EXIT_POSITIVES}\tmessage={exc}",
               file=sys.stderr)
         return EXIT_POSITIVES
+    except UsageError as exc:
+        print(f"error\tkind={type(exc).__name__}\texit={EXIT_USAGE}\tmessage={exc}",
+              file=sys.stderr)
+        return EXIT_USAGE
     except DeathcastError as exc:
         print(f"error\tkind={type(exc).__name__}\texit={EXIT_DATA}\tmessage={exc}",
               file=sys.stderr)

@@ -9,6 +9,8 @@ hero slot (64 positive / 64 negative at batch size 128).
 
 from __future__ import annotations
 
+import functools
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,25 +20,13 @@ import numpy as np
 from . import features as ft
 from . import match_data as md
 from .errors import (ChecksumMismatch, InsufficientPositives, NonPositiveWindow,
-                     SchemaMismatch, SchemaViolation, VersionMismatch)
-from .util import checksum8, hash64, ordered_map
+                     SchemaMismatch, SchemaViolation)
+from .util import hash64, ordered_map, seal, unseal
 
 SHARD_CAPACITY = 4000
 SHARD_MAGIC = b"DSH1"
 SHARD_VERSION = 1
-_VARIANT_CODE = {"minimal": 0, "medium": 1, "full": 2}
-_VARIANT_NAME = {v: k for k, v in _VARIANT_CODE.items()}
 _HEADER = struct.Struct("<4sHBBII")  # magic, version, variant, pad, per_hero, count
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    """One normalized frame with its 10 death-within-window labels."""
-
-    features: np.ndarray  # (10, per_hero_count) float32, normalized
-    labels: np.ndarray  # (10,) bool
-    match_key: int  # hash64 of the match id
-    game_time: float
 
 
 def label_frames(m, window=5.0):
@@ -70,24 +60,14 @@ def downsample(m, period_ticks=4):
     return np.flatnonzero(offset % period_ticks == 0)
 
 
-def undersample_negatives(samples, drop_fraction=0.5, seed=0):
-    """Drop all-negative samples independently with probability drop_fraction.
-
-    Samples with at least one positive label always survive. One uniform
-    draw is consumed per sample (positives included) so the kept set is a
-    pure function of (stream order, seed).
-    """
-    if not 0 <= drop_fraction < 1:
-        raise ValueError(f"drop_fraction must be in [0, 1), got {drop_fraction}")
-    samples = list(samples)
-    rng = np.random.default_rng(seed)
-    u = rng.random(len(samples))
-    return [s for s, ui in zip(samples, u)
-            if s.labels.any() or ui >= drop_fraction]
-
-
 def undersample_mask(labels, drop_fraction=0.5, seed=0):
-    """Vectorized form: keep-mask for an (n, 10) label array."""
+    """Keep-mask for an (n, 10) label array: all-negative rows are dropped
+    independently with probability drop_fraction.
+
+    Rows with at least one positive label always survive. One uniform draw
+    is consumed per row (positives included) so the mask is a pure function
+    of (row order, seed).
+    """
     if not 0 <= drop_fraction < 1:
         raise ValueError(f"drop_fraction must be in [0, 1), got {drop_fraction}")
     rng = np.random.default_rng(seed)
@@ -120,21 +100,6 @@ class Shard:
     def per_hero_count(self):
         return int(self.features.shape[2])
 
-    def sample(self, i) -> LabeledSample:
-        return LabeledSample(features=self.features[i], labels=self.labels[i],
-                             match_key=int(self.match_keys[i]), game_time=float(self.game_times[i]))
-
-    @classmethod
-    def from_samples(cls, variant, samples):
-        samples = list(samples)
-        return cls(
-            variant=variant,
-            features=np.stack([s.features for s in samples]).astype("<f4"),
-            labels=np.stack([s.labels for s in samples]),
-            match_keys=np.array([s.match_key for s in samples], dtype="<u8"),
-            game_times=np.array([s.game_time for s in samples], dtype="<f4"),
-        )
-
 
 def _sample_dtype(per_hero_count):
     return np.dtype([
@@ -157,34 +122,23 @@ def _unpack_labels(packed):
 
 def encode_shard(shard: Shard) -> bytes:
     n = len(shard)
-    head = _HEADER.pack(SHARD_MAGIC, SHARD_VERSION, _VARIANT_CODE[shard.variant], 0,
-                        shard.per_hero_count, n)
     rec = np.zeros(n, dtype=_sample_dtype(shard.per_hero_count))
     rec["features"] = shard.features
     rec["labels"] = _pack_labels(shard.labels)
     rec["match_key"] = shard.match_keys
     rec["game_time"] = shard.game_times
-    body = head + rec.tobytes()
-    return body + checksum8(body)
+    return seal(_HEADER, SHARD_MAGIC, SHARD_VERSION, shard.variant, 0,
+                shard.per_hero_count, n, body=[rec])
 
 
 def decode_shard(blob: bytes) -> Shard:
-    if len(blob) < _HEADER.size + 8:
-        raise ChecksumMismatch("shard file truncated")
-    body, stored = blob[:-8], blob[-8:]
-    if checksum8(body) != stored:
-        raise ChecksumMismatch("shard checksum does not match contents")
-    magic, version, variant_code, _, per_hero, n = _HEADER.unpack_from(body)
-    if magic != SHARD_MAGIC or version != SHARD_VERSION:
-        raise VersionMismatch(f"bad shard magic/version {magic!r}/{version}")
-    variant = _VARIANT_NAME.get(variant_code)
-    if variant is None:
-        raise SchemaMismatch(f"unknown schema variant code {variant_code}")
-    dt = _sample_dtype(per_hero)
-    expected = _HEADER.size + n * dt.itemsize
-    if len(body) != expected:
-        raise ChecksumMismatch(f"shard body is {len(body)} bytes, expected {expected}")
-    rec = np.frombuffer(body[_HEADER.size:], dtype=dt)
+    variant, (_, per_hero, n), framed = unseal(blob, _HEADER, SHARD_MAGIC, SHARD_VERSION,
+                                               "shard")
+    # sized before the record dtype is built, so a corrupt count costs nothing
+    expected = _HEADER.size + n * (_sample_dtype(0).itemsize + 4 * md.N_HEROES * per_hero)
+    if len(framed) != expected:
+        raise ChecksumMismatch(f"shard body is {len(framed)} bytes, expected {expected}")
+    rec = np.frombuffer(framed, dtype=_sample_dtype(per_hero), offset=_HEADER.size)
     return Shard(
         variant=variant,
         features=rec["features"].copy(),
@@ -194,19 +148,16 @@ def decode_shard(blob: bytes) -> Shard:
     )
 
 
-def write_shards(samples_or_shard_arrays, out_dir, variant, prefix="shard"):
-    """Chunk pre-shuffled samples into <=4000-sample files; returns paths."""
+def write_shards(features, labels, match_keys, game_times, out_dir, variant, prefix="shard"):
+    """Chunk pre-shuffled sample columns into <=4000-sample files; returns paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if isinstance(samples_or_shard_arrays, Shard):
-        pools = [samples_or_shard_arrays]
-    else:
-        samples = list(samples_or_shard_arrays)
-        pools = [Shard.from_samples(variant, samples[i:i + SHARD_CAPACITY])
-                 for i in range(0, len(samples), SHARD_CAPACITY)]
     paths = []
-    for i, shard in enumerate(pools):
-        path = out_dir / f"{prefix}_{i:05d}.shard"
+    for i in range(0, len(features), SHARD_CAPACITY):
+        chunk = slice(i, i + SHARD_CAPACITY)
+        shard = Shard(variant=variant, features=features[chunk], labels=labels[chunk],
+                      match_keys=match_keys[chunk], game_times=game_times[chunk])
+        path = out_dir / f"{prefix}_{i // SHARD_CAPACITY:05d}.shard"
         path.write_bytes(encode_shard(shard))
         paths.append(path)
     return paths
@@ -295,10 +246,8 @@ class ShardPool:
                      for s in shards]
         self._neg = [[np.flatnonzero(~s.labels[:, slot]) for slot in range(md.N_HEROES)]
                      for s in shards]
-        self.pos_total = np.array([sum(len(self._pos[i][slot]) for i in range(len(shards)))
-                                   for slot in range(md.N_HEROES)])
-        self.neg_total = np.array([sum(len(self._neg[i][slot]) for i in range(len(shards)))
-                                   for slot in range(md.N_HEROES)])
+        self.pos_total = np.sum([s.labels.sum(axis=0) for s in shards], axis=0)
+        self.neg_total = len(self) - self.pos_total
 
     @classmethod
     def from_paths(cls, paths, split="train", expect_variant=None):
@@ -306,9 +255,6 @@ class ShardPool:
 
     def __len__(self):
         return sum(len(s) for s in self.shards)
-
-    def n_samples(self):
-        return len(self)
 
     def all_features(self):
         return np.concatenate([s.features for s in self.shards], axis=0)
@@ -365,7 +311,11 @@ def sample_balanced_batch(pool: ShardPool, batch_size=128, rng=None) -> Balanced
 
 @dataclass
 class DatasetManifest:
-    """Everything needed to reproduce and safely consume a built dataset."""
+    """Everything needed to reproduce and safely consume a built dataset.
+
+    The file stores shard and stats paths relative to its own directory, so
+    a dataset directory can be moved; `load` resolves them again.
+    """
 
     variant: str
     window: float
@@ -380,6 +330,11 @@ class DatasetManifest:
     counts: dict = field(default_factory=dict)  # split name -> sample count
 
     def save(self, path):
+        here = Path(path).parent
+
+        def rel(p):
+            return os.path.relpath(p, here)
+
         lines = [
             f"variant\t{self.variant}",
             f"window\t{self.window!r}",
@@ -388,7 +343,7 @@ class DatasetManifest:
             f"split_seed\t{self.split_seed}",
             f"shuffle_seed\t{self.shuffle_seed}",
             f"drop_seed\t{self.drop_seed}",
-            f"stats_path\t{self.stats_path}",
+            f"stats_path\t{rel(self.stats_path)}",
         ]
         for name in ("train", "val", "test"):
             lines.append(f"count_{name}\t{self.counts.get(name, 0)}")
@@ -399,41 +354,47 @@ class DatasetManifest:
         lines.append("[shards]")
         for name in ("train", "val", "test"):
             for p in self.shard_paths.get(name, []):
-                lines.append(f"{name}\t{p}")
+                lines.append(f"{name}\t{rel(p)}")
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path):
+        here = Path(path).parent
         kv = {}
         matches = {"train": [], "val": [], "test": []}
         shards = {"train": [], "val": [], "test": []}
         section = None
-        for ln in Path(path).read_text(encoding="utf-8").splitlines():
-            if not ln.strip():
-                continue
-            if ln == "[matches]":
-                section = "matches"
-                continue
-            if ln == "[shards]":
-                section = "shards"
-                continue
-            a, b = ln.split("\t")
-            if section is None:
-                kv[a] = b
-            elif section == "matches":
-                matches[b].append(a)
-            else:
-                shards[a].append(b)
-        split = SplitManifest(train=tuple(matches["train"]), val=tuple(matches["val"]),
-                              test=tuple(matches["test"]), seed=int(kv["split_seed"]))
-        return cls(
-            variant=kv["variant"], window=float(kv["window"]),
-            period_ticks=int(kv["period_ticks"]), drop_fraction=float(kv["drop_fraction"]),
-            split_seed=int(kv["split_seed"]), shuffle_seed=int(kv["shuffle_seed"]),
-            drop_seed=int(kv["drop_seed"]), split=split, shard_paths=shards,
-            stats_path=kv["stats_path"],
-            counts={name: int(kv.get(f"count_{name}", 0)) for name in ("train", "val", "test")},
-        )
+        try:
+            for ln in Path(path).read_text(encoding="utf-8").splitlines():
+                if not ln.strip():
+                    continue
+                if ln == "[matches]":
+                    section = "matches"
+                    continue
+                if ln == "[shards]":
+                    section = "shards"
+                    continue
+                a, b = ln.split("\t")
+                if section is None:
+                    kv[a] = b
+                elif section == "matches":
+                    matches[b].append(a)
+                else:
+                    shards[a].append(str(here / b))
+            split = SplitManifest(train=tuple(matches["train"]), val=tuple(matches["val"]),
+                                  test=tuple(matches["test"]), seed=int(kv["split_seed"]))
+            return cls(
+                variant=kv["variant"], window=float(kv["window"]),
+                period_ticks=int(kv["period_ticks"]),
+                drop_fraction=float(kv["drop_fraction"]),
+                split_seed=int(kv["split_seed"]), shuffle_seed=int(kv["shuffle_seed"]),
+                drop_seed=int(kv["drop_seed"]), split=split, shard_paths=shards,
+                stats_path=str(here / kv["stats_path"]),
+                counts={name: int(kv.get(f"count_{name}", 0))
+                        for name in ("train", "val", "test")},
+            )
+        except (KeyError, ValueError) as exc:
+            raise SchemaViolation(f"{path}: malformed manifest ({exc!r})") from None
 
 
 def _chunks(iterator, size):
@@ -475,23 +436,23 @@ def build_dataset(match_provider, out_dir, schema, window=5.0, period_ticks=4,
     out_dir.mkdir(parents=True, exist_ok=True)
     threads = max(1, threads)
 
-    ids = []
-    for m in match_provider():
-        ids.append(m.match_id)
-    split = split_matches(ids, seed=split_seed)
+    split = split_matches([m.match_id for m in match_provider()], seed=split_seed)
+
+    def map_matches(fn, parts):
+        """fn over a fresh pass of the matches in `parts`, in stream order."""
+        for chunk in _chunks(match_provider(), threads):
+            wanted = [m for m in chunk if split.split_of(m.match_id) in parts]
+            yield from ordered_map(fn, wanted, threads)
 
     def stats_one(m):
         clean = md.strip_pauses(m)
         feats, _ = ft.extract_match(clean, schema, downsample(clean, period_ticks))
         return ft.compute_norm_stats([feats], schema=schema)
 
-    stats_acc = None
-    for chunk in _chunks(match_provider(), threads):
-        train_only = [m for m in chunk if split.split_of(m.match_id) == "train"]
-        for part in ordered_map(stats_one, train_only, threads):
-            stats_acc = part if stats_acc is None else ft.merge_norm_stats(stats_acc, part)
-    if stats_acc is None:
+    partial_stats = list(map_matches(stats_one, ("train",)))
+    if not partial_stats:
         raise SchemaViolation("no training matches in the split")
+    stats_acc = functools.reduce(ft.merge_norm_stats, partial_stats)
     stats_path = out_dir / "norm_stats.tsv"
     ft.save_norm_stats(stats_acc, stats_path)
 
@@ -500,10 +461,8 @@ def build_dataset(match_provider, out_dir, schema, window=5.0, period_ticks=4,
         return split.split_of(m.match_id), (hash64(m.match_id), feats, labels, gt)
 
     buckets = {"train": [], "val": []}
-    for chunk in _chunks(match_provider(), threads):
-        wanted = [m for m in chunk if split.split_of(m.match_id) in buckets]
-        for part, block in ordered_map(samples_one, wanted, threads):
-            buckets[part].append(block)
+    for part, block in map_matches(samples_one, buckets):
+        buckets[part].append(block)
 
     rngs = {"train": 0, "val": 1}
     shard_paths = {"train": [], "val": [], "test": []}
@@ -515,23 +474,13 @@ def build_dataset(match_provider, out_dir, schema, window=5.0, period_ticks=4,
         labels = np.concatenate([b[2] for b in blocks], axis=0)
         gts = np.concatenate([b[3] for b in blocks], axis=0).astype("<f4")
         keys = np.concatenate([np.full(len(b[1]), b[0], dtype="<u8") for b in blocks])
-        keep = undersample_mask(labels, drop_fraction,
-                                seed=(drop_seed, rngs[part]))
-        feats, labels, gts, keys = feats[keep], labels[keep], gts[keep], keys[keep]
-        order = np.random.default_rng((shuffle_seed, rngs[part])).permutation(len(feats))
-        feats, labels, gts, keys = feats[order], labels[order], gts[order], keys[order]
-        counts[part] = len(feats)
-        paths = []
-        for i in range(0, len(feats), SHARD_CAPACITY):
-            shard = Shard(variant=schema.variant,
-                          features=feats[i:i + SHARD_CAPACITY],
-                          labels=labels[i:i + SHARD_CAPACITY],
-                          match_keys=keys[i:i + SHARD_CAPACITY],
-                          game_times=gts[i:i + SHARD_CAPACITY])
-            path = out_dir / f"{part}_{i // SHARD_CAPACITY:05d}.shard"
-            path.write_bytes(encode_shard(shard))
-            paths.append(str(path))
-        shard_paths[part] = paths
+        kept = np.flatnonzero(undersample_mask(labels, drop_fraction,
+                                               seed=(drop_seed, rngs[part])))
+        rows = kept[np.random.default_rng((shuffle_seed, rngs[part])).permutation(len(kept))]
+        counts[part] = len(rows)
+        shard_paths[part] = [str(p) for p in write_shards(
+            feats[rows], labels[rows], keys[rows], gts[rows], out_dir, schema.variant,
+            prefix=part)]
 
     manifest = DatasetManifest(
         variant=schema.variant, window=window, period_ticks=period_ticks,

@@ -5,6 +5,10 @@ class DeathcastError(Exception):
     """Base class for every error this package raises on purpose."""
 
 
+class UsageError(DeathcastError):
+    """An option value from the environment or a config file is invalid."""
+
+
 class MalformedRecord(DeathcastError):
     """A match file line is not syntactically valid; carries the line number."""
 

@@ -107,6 +107,20 @@ def feature_schema(variant, roster_size=md.DEFAULT_ROSTER_SIZE) -> FeatureSchema
     return FeatureSchema(variant, roster_size, tuple(names), tuple(cats))
 
 
+def header_schema(variant, roster_size, input_size, what):
+    """feature_schema for a variant and roster read from an artifact of
+    input_size bytes; SchemaMismatch when they cannot be valid.
+
+    A roster larger than the artifact itself is rejected before any name is
+    built, so a corrupt header cannot ask for billions of one-hot names.
+    """
+    if variant not in VARIANTS:
+        raise SchemaMismatch(f"{what}: unknown schema variant {variant!r}")
+    if not 1 <= roster_size <= input_size:
+        raise SchemaMismatch(f"{what}: roster size {roster_size} out of range")
+    return feature_schema(variant, roster_size)
+
+
 def dump_schema(schema: FeatureSchema) -> str:
     """Numbered feature-order listing, one line per feature."""
     lines = [f"{i:4d}  {cat:<10s} {name}"
@@ -526,11 +540,12 @@ def save_norm_stats(stats: NormalizationStats, path):
 
 def load_norm_stats(path) -> NormalizationStats:
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    head = lines[0].split("\t")
-    if len(head) != 3 or head[0] != "schema":
+        text = fh.read()
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    head = lines[0].split("\t") if lines else []
+    if len(head) != 3 or head[0] != "schema" or not head[2].isdigit():
         raise SchemaMismatch(f"{path}: bad stats header")
-    schema = feature_schema(head[1], roster_size=int(head[2]))
+    schema = header_schema(head[1], int(head[2]), len(text), path)
     body = lines[1:]
     if len(body) != schema.per_hero_count:
         raise SchemaMismatch(
@@ -538,9 +553,11 @@ def load_norm_stats(path) -> NormalizationStats:
     mins = np.zeros(schema.per_hero_count)
     maxs = np.zeros(schema.per_hero_count)
     for i, ln in enumerate(body):
-        name, lo, hi = ln.split("\t")
-        if name != schema.names[i]:
-            raise SchemaMismatch(f"{path}: line {i + 2}: feature {name!r} out of order")
-        mins[i] = float(lo)
-        maxs[i] = float(hi)
+        cells = ln.split("\t")
+        if len(cells) != 3 or cells[0] != schema.names[i]:
+            raise SchemaMismatch(f"{path}: line {i + 2}: expected feature {schema.names[i]!r}")
+        try:
+            mins[i], maxs[i] = float(cells[1]), float(cells[2])
+        except ValueError:
+            raise SchemaMismatch(f"{path}: line {i + 2}: bad number") from None
     return NormalizationStats(schema=schema, mins=mins, maxs=maxs)

@@ -19,7 +19,7 @@ from . import features as ft
 from .errors import (ChecksumMismatch, InvalidArchitecture, NonFiniteGradient,
                      ShapeMismatch, VersionMismatch)
 from .match_data import N_HEROES
-from .util import checksum8
+from .util import seal, unseal
 
 # Tuned per-variant defaults for full-scale corpora (batch 128, Adam).
 DEFAULT_HYPERPARAMS = {
@@ -32,6 +32,15 @@ DEFAULT_HYPERPARAMS = {
 }
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
+
+
+def _named_arrays(stacks):
+    """(name, array) pairs of parameters or gradients, serialization order."""
+    for prefix in ("encoder", "head"):
+        ws, bs = getattr(stacks, f"{prefix}_w"), getattr(stacks, f"{prefix}_b")
+        for i, (w, b) in enumerate(zip(ws, bs)):
+            yield f"{prefix}_w{i}", w
+            yield f"{prefix}_b{i}", b
 
 
 @dataclass(frozen=True)
@@ -56,12 +65,8 @@ class ModelConfig:
         return N_HEROES * self.shared_layers[-1]
 
     def n_parameters(self):
-        total = 0
-        widths = [self.per_hero_count, *self.shared_layers]
-        total += sum(a * b + b for a, b in zip(widths, widths[1:]))
-        widths = [self.head_input_width, *self.final_layers, N_HEROES]
-        total += sum(a * b + b for a, b in zip(widths, widths[1:]))
-        return total
+        return sum(a * b + b for widths in _layer_widths(self)
+                   for a, b in zip(widths, widths[1:]))
 
 
 def default_config(variant, roster_size=130, **overrides) -> ModelConfig:
@@ -89,21 +94,11 @@ class ModelParams:
 
     def arrays(self):
         """(name, array) pairs in the documented serialization order."""
-        for i, (w, b) in enumerate(zip(self.encoder_w, self.encoder_b)):
-            yield f"encoder_w{i}", w
-            yield f"encoder_b{i}", b
-        for i, (w, b) in enumerate(zip(self.head_w, self.head_b)):
-            yield f"head_w{i}", w
-            yield f"head_b{i}", b
+        return _named_arrays(self)
 
     def copy(self):
-        return ModelParams(
-            config=self.config,
-            encoder_w=[w.copy() for w in self.encoder_w],
-            encoder_b=[b.copy() for b in self.encoder_b],
-            head_w=[w.copy() for w in self.head_w],
-            head_b=[b.copy() for b in self.head_b],
-        )
+        stacks = ("encoder_w", "encoder_b", "head_w", "head_b")
+        return replace(self, **{f: [a.copy() for a in getattr(self, f)] for f in stacks})
 
 
 @dataclass
@@ -114,12 +109,7 @@ class GradientSet:
     head_b: list
 
     def arrays(self):
-        for i, (w, b) in enumerate(zip(self.encoder_w, self.encoder_b)):
-            yield f"encoder_w{i}", w
-            yield f"encoder_b{i}", b
-        for i, (w, b) in enumerate(zip(self.head_w, self.head_b)):
-            yield f"head_w{i}", w
-            yield f"head_b{i}", b
+        return _named_arrays(self)
 
 
 @dataclass
@@ -202,6 +192,29 @@ def _check_features(cfg, feats):
     return feats.astype(cfg.np_dtype, copy=False)
 
 
+def _relu_stack_forward(act, ws, bs):
+    """Dense layers with a ReLU after each; (pre-activations, activations)."""
+    pres, acts = [], []
+    for w, b in zip(ws, bs):
+        pre = act @ w + b
+        act = np.maximum(pre, 0)
+        pres.append(pre)
+        acts.append(act)
+    return pres, acts
+
+
+def _relu_stack_backward(dact, x, pres, acts, ws, input_grad=True):
+    """(weight grads, bias grads, d loss/d x) of `_relu_stack_forward` on x,
+    from d loss/d(last activation); d loss/d x is None unless input_grad."""
+    w_g, b_g = [None] * len(ws), [None] * len(ws)
+    for i in range(len(ws) - 1, -1, -1):
+        dpre = dact * (pres[i] > 0)
+        w_g[i] = (x if i == 0 else acts[i - 1]).T @ dpre
+        b_g[i] = dpre.sum(axis=0)
+        dact = dpre @ ws[i].T if i > 0 or input_grad else None
+    return w_g, b_g, dact
+
+
 def forward(params: ModelParams, feats):
     """Probabilities (B, 10) plus the trace needed for backprop.
 
@@ -213,27 +226,10 @@ def forward(params: ModelParams, feats):
     feats = _check_features(cfg, feats)
     b = feats.shape[0]
     x0 = feats.reshape(b * N_HEROES, cfg.per_hero_count)
-
-    enc_pre, enc_act = [], []
-    act = x0
-    for w, bi in zip(params.encoder_w, params.encoder_b):
-        pre = act @ w + bi
-        act = np.maximum(pre, 0)
-        enc_pre.append(pre)
-        enc_act.append(act)
-
-    concat = act.reshape(b, cfg.head_input_width)
-    head_pre, head_act = [], []
-    act = concat
-    n_head = len(params.head_w)
-    for i, (w, bi) in enumerate(zip(params.head_w, params.head_b)):
-        pre = act @ w + bi
-        if i < n_head - 1:
-            act = np.maximum(pre, 0)
-            head_pre.append(pre)
-            head_act.append(act)
-        else:
-            logits = pre
+    enc_pre, enc_act = _relu_stack_forward(x0, params.encoder_w, params.encoder_b)
+    concat = enc_act[-1].reshape(b, cfg.head_input_width)
+    head_pre, head_act = _relu_stack_forward(concat, params.head_w[:-1], params.head_b[:-1])
+    logits = (head_act[-1] if head_act else concat) @ params.head_w[-1] + params.head_b[-1]
     probs = _sigmoid(logits)
     trace = ForwardTrace(x0=x0, encoder_pre=enc_pre, encoder_act=enc_act,
                          concat=concat, head_pre=head_pre, head_act=head_act,
@@ -265,29 +261,18 @@ def loss_and_grad(params: ModelParams, batch):
     dlogits = np.zeros_like(trace.logits)
     dlogits[:, slot] = (_sigmoid(z) - y) / b
 
-    head_w_g, head_b_g = [], []
-    dh = dlogits
-    for i in range(len(params.head_w) - 1, -1, -1):
-        dpre = dh if i == len(params.head_w) - 1 else dh * (trace.head_pre[i] > 0)
-        act_in = trace.concat if i == 0 else trace.head_act[i - 1]
-        head_w_g.append(act_in.T @ dpre)
-        head_b_g.append(dpre.sum(axis=0))
-        dh = dpre @ params.head_w[i].T
-    head_w_g.reverse()
-    head_b_g.reverse()
+    # output layer: linear, so its pre-activation gradient is dlogits itself
+    out_in = trace.head_act[-1] if trace.head_act else trace.concat
+    head_w_g, head_b_g, dconcat = _relu_stack_backward(
+        dlogits @ params.head_w[-1].T, trace.concat, trace.head_pre, trace.head_act,
+        params.head_w[:-1])
+    head_w_g.append(out_in.T @ dlogits)
+    head_b_g.append(dlogits.sum(axis=0))
 
-    denc = dh.reshape(b * N_HEROES, cfg.shared_layers[-1])
-    enc_w_g, enc_b_g = [], []
-    dh = denc
-    for i in range(len(params.encoder_w) - 1, -1, -1):
-        dpre = dh * (trace.encoder_pre[i] > 0)
-        act_in = trace.x0 if i == 0 else trace.encoder_act[i - 1]
-        enc_w_g.append(act_in.T @ dpre)
-        enc_b_g.append(dpre.sum(axis=0))
-        dh = dpre @ params.encoder_w[i].T
-    enc_w_g.reverse()
-    enc_b_g.reverse()
-
+    denc = dconcat.reshape(b * N_HEROES, cfg.shared_layers[-1])
+    enc_w_g, enc_b_g, _ = _relu_stack_backward(denc, trace.x0, trace.encoder_pre,
+                                               trace.encoder_act, params.encoder_w,
+                                               input_grad=False)
     grads = GradientSet(encoder_w=enc_w_g, encoder_b=enc_b_g,
                         head_w=head_w_g, head_b=head_b_g)
     return loss, grads
@@ -404,10 +389,7 @@ def gradient_check(cfg: ModelConfig, tolerance=1e-4, rng=None, eps=1e-5,
 
 CHECKPOINT_MAGIC = b"DTHCKPT1"
 CHECKPOINT_VERSION = 1
-_VARIANT_CODE = {"minimal": 0, "medium": 1, "full": 2}
-_VARIANT_NAME = {v: k for k, v in _VARIANT_CODE.items()}
-_DTYPE_CODE = {"float32": 0, "float64": 1}
-_DTYPE_NAME = {v: k for k, v in _DTYPE_CODE.items()}
+_DTYPE_NAMES = tuple(_DTYPES)  # the dtype code is the index
 _FIXED = struct.Struct("<8sHBBIIIqQdd")
 
 
@@ -416,82 +398,68 @@ def encode_checkpoint(params: ModelParams, stats: ft.NormalizationStats, step=0)
     if stats.schema.variant != cfg.variant or stats.schema.per_hero_count != cfg.per_hero_count:
         raise ShapeMismatch("normalization stats do not match the model schema")
     out = [
-        _FIXED.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _VARIANT_CODE[cfg.variant],
-                    _DTYPE_CODE[cfg.dtype], cfg.per_hero_count, cfg.roster_size,
-                    cfg.batch_size, cfg.seed, step, cfg.learning_rate, cfg.window),
-        struct.pack("<H", len(cfg.shared_layers)),
-        struct.pack(f"<{len(cfg.shared_layers)}I", *cfg.shared_layers),
-        struct.pack("<H", len(cfg.final_layers)),
-        struct.pack(f"<{len(cfg.final_layers)}I", *cfg.final_layers),
+        *(struct.pack(f"<H{len(ws)}I", len(ws), *ws)
+          for ws in (cfg.shared_layers, cfg.final_layers)),
         struct.pack("<I", stats.schema.per_hero_count),
         stats.mins.astype("<f8").tobytes(),
         stats.maxs.astype("<f8").tobytes(),
     ]
     le = "<f4" if cfg.dtype == "float32" else "<f8"
     for _, arr in params.arrays():
-        out.append(np.ascontiguousarray(arr, dtype=le).tobytes())
-    body = b"".join(out)
-    return body + checksum8(body)
+        out.append(np.ascontiguousarray(arr, dtype=le))
+    return seal(_FIXED, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, cfg.variant,
+                _DTYPE_NAMES.index(cfg.dtype), cfg.per_hero_count, cfg.roster_size,
+                cfg.batch_size, cfg.seed, step, cfg.learning_rate, cfg.window,
+                body=out)
 
 
 def decode_checkpoint(blob: bytes, expect_variant=None):
-    if len(blob) < _FIXED.size + 8:
-        raise ChecksumMismatch("checkpoint truncated")
-    body, stored = blob[:-8], blob[-8:]
-    if checksum8(body) != stored:
-        raise ChecksumMismatch("checkpoint checksum does not match contents")
-    magic, version, variant_code, dtype_code, per_hero, roster, batch, seed, step, lr, window = \
-        _FIXED.unpack_from(body)
-    if magic != CHECKPOINT_MAGIC or version != CHECKPOINT_VERSION:
-        raise VersionMismatch(f"bad checkpoint magic/version {magic!r}/{version}")
-    variant = _VARIANT_NAME.get(variant_code)
-    if variant is None:
-        raise VersionMismatch(f"unknown variant code {variant_code}")
+    variant, fields, body = unseal(blob, _FIXED, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                   "checkpoint")
+    dtype_code, per_hero, roster, batch, seed, step, lr, window = fields
     if expect_variant is not None and variant != expect_variant:
         raise VersionMismatch(f"checkpoint is {variant!r}, expected {expect_variant!r}")
+    if dtype_code >= len(_DTYPE_NAMES):
+        raise VersionMismatch(f"unknown checkpoint dtype code {dtype_code}")
+    dtype = _DTYPE_NAMES[dtype_code]
     off = _FIXED.size
 
-    def take(fmt):
+    def take(fmt, count):
         nonlocal off
-        s = struct.Struct(fmt)
-        vals = s.unpack_from(body, off)
-        off += s.size
-        return vals
+        size = np.dtype(fmt).itemsize * count
+        if off + size > len(body):
+            raise ChecksumMismatch("checkpoint is shorter than its layer table says")
+        arr = np.frombuffer(body, dtype=fmt, count=count, offset=off).copy()
+        off += size
+        return arr
 
-    (n_shared,) = take("<H")
-    shared = take(f"<{n_shared}I")
-    (n_final,) = take("<H")
-    final = take(f"<{n_final}I")
-    (n_feat,) = take("<I")
+    def take_ints(fmt, count):
+        return tuple(int(v) for v in take(fmt, count))
+
+    shared = take_ints("<u4", *take_ints("<u2", 1))
+    final = take_ints("<u4", *take_ints("<u2", 1))
+    (n_feat,) = take_ints("<u4", 1)
+    if not shared:
+        raise VersionMismatch("checkpoint has no encoder layers")
     if n_feat != per_hero:
         raise VersionMismatch("embedded stats length differs from feature count")
-    mins = np.frombuffer(body, dtype="<f8", count=n_feat, offset=off).copy()
-    off += 8 * n_feat
-    maxs = np.frombuffer(body, dtype="<f8", count=n_feat, offset=off).copy()
-    off += 8 * n_feat
+    mins = take("<f8", n_feat)
+    maxs = take("<f8", n_feat)
 
-    cfg = ModelConfig(variant=variant, per_hero_count=per_hero, shared_layers=tuple(shared),
-                      final_layers=tuple(final), learning_rate=lr, batch_size=batch,
-                      seed=seed, window=window, roster_size=roster,
-                      dtype=_DTYPE_NAME[dtype_code])
-    schema = ft.feature_schema(variant, roster)
+    cfg = ModelConfig(variant=variant, per_hero_count=per_hero, shared_layers=shared,
+                      final_layers=final, learning_rate=lr, batch_size=batch,
+                      seed=seed, window=window, roster_size=roster, dtype=dtype)
+    schema = ft.header_schema(variant, roster, len(blob), "checkpoint")
     stats = ft.NormalizationStats(schema=schema, mins=mins, maxs=maxs)
 
-    le = "<f4" if cfg.dtype == "float32" else "<f8"
-    itemsize = 4 if cfg.dtype == "float32" else 8
+    le = "<f4" if dtype == "float32" else "<f8"
     enc_widths, head_widths = _layer_widths(cfg)
 
     def read_stack(widths):
-        nonlocal off
         ws, bs = [], []
         for fan_in, fan_out in zip(widths, widths[1:]):
-            n = fan_in * fan_out
-            w = np.frombuffer(body, dtype=le, count=n, offset=off).copy().reshape(fan_in, fan_out)
-            off += n * itemsize
-            b = np.frombuffer(body, dtype=le, count=fan_out, offset=off).copy()
-            off += fan_out * itemsize
-            ws.append(w)
-            bs.append(b)
+            ws.append(take(le, fan_in * fan_out).reshape(fan_in, fan_out))
+            bs.append(take(le, fan_out))
         return ws, bs
 
     enc_w, enc_b = read_stack(enc_widths)

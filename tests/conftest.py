@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -76,3 +78,40 @@ def random_match(rng, n_frames=None, with_towers=None, with_pauses=False,
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+def reseal(blob):
+    """Replace a binary artifact's trailing 8-byte blake2b checksum so a
+    corrupted header reaches the decoder's content checks."""
+    body = bytes(blob[:-8])
+    return body + hashlib.blake2b(body, digest_size=8).digest()
+
+
+def header_mutations(blob, n_bytes, count, seed):
+    """`count` seeded copies of blob, each with one of its first n_bytes
+    replaced by a random byte or one aligned 4-byte field by a random
+    uint32, re-sealed."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        out = bytearray(blob)
+        if rng.random() < 0.5:
+            out[int(rng.integers(n_bytes))] = int(rng.integers(256))
+        else:
+            at = 4 * int(rng.integers(n_bytes // 4))
+            out[at:at + 4] = int(rng.integers(1 << 32)).to_bytes(4, "little")
+        yield reseal(out)
+
+
+@pytest.fixture
+def bounded_schema(monkeypatch):
+    """Make features.feature_schema fail fast on a roster above 10,000, so a
+    decoder that builds a schema from a corrupt roster fails its test
+    instead of exhausting memory."""
+    from deathcast import features as ft
+    real = ft.feature_schema
+
+    def guarded(variant, roster_size=md.DEFAULT_ROSTER_SIZE):
+        assert roster_size <= 10_000, f"schema built for roster {roster_size}"
+        return real(variant, roster_size)
+
+    monkeypatch.setattr(ft, "feature_schema", guarded)

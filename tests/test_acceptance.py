@@ -245,15 +245,14 @@ def test_09_end_to_end_determinism(tmp_path):
     compared = 0
     ok = True
     for rel in sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file()):
-        if rel.name == "manifest.tsv":
-            continue  # records absolute shard paths, which differ by run dir
         x = (a / rel).read_bytes()
         y = (b / rel).read_bytes()
         ok &= x == y
         compared += 1
     ok &= compared > 20
     report(9, "end-to-end determinism", ok,
-           f"({compared} files byte-identical: shards, checkpoint, metrics, report, matches)")
+           f"({compared} files byte-identical: shards, manifests, checkpoint, metrics, "
+           "report, matches)")
 
 
 def test_10_round_trips(tmp_path, rng):

@@ -50,6 +50,23 @@ class TestOptionResolution:
         assert opt.schema == "minimal"
 
 
+    @pytest.mark.parametrize("var,value", [("SCHEMA", "bogus"), ("THREADS", "two"),
+                                           ("WINDOW_SECONDS", "soon")])
+    def test_bad_environment_value_is_usage_error(self, monkeypatch, capsys, var, value):
+        monkeypatch.setenv(f"DEATHCAST_{var}", value)
+        assert run_cli("schema-dump") == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error\tkind=UsageError\texit=2\t")
+
+    @pytest.mark.parametrize("line", ["schema=nope", "seed=five", "no equals sign"])
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, line):
+        conf = tmp_path / "opts.conf"
+        conf.write_text(line + "\n")
+        assert run_cli("schema-dump", "--config", str(conf)) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error\tkind=UsageError\texit=2\t")
+
+
 @pytest.fixture(scope="module")
 def pipeline_dirs(tmp_path_factory):
     """synth -> ingest -> extract -> train -> eval on a tiny corpus."""
@@ -122,6 +139,17 @@ class TestPipeline:
                      "--seed", "5")
         assert rc == 0
         assert len(table.read_text().splitlines()) == 3
+
+    def test_dataset_built_relative_trains_from_elsewhere(self, pipeline_dirs, monkeypatch):
+        root, raw, store, data, run = pipeline_dirs
+        monkeypatch.chdir(root)
+        assert run_cli("extract", "--store", "store", "--out", "data_rel",
+                       "--schema", "minimal", "--seed", "3", "--threads", "1") == 0
+        monkeypatch.chdir(root.parent)
+        assert run_cli("train", "--data", f"{root.name}/data_rel", "--out",
+                       f"{root.name}/run_rel", "--steps", "2", "--val-interval", "1",
+                       "--shared", "4", "--final", "4", "--batch", "8") == 0
+        assert (data / "manifest.tsv").read_text() == (root / "data_rel/manifest.tsv").read_text()
 
     def test_metrics_log_exists(self, pipeline_dirs):
         root, raw, store, data, run = pipeline_dirs

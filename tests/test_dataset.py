@@ -5,11 +5,11 @@ from deathcast import dataset as ds
 from deathcast import features as ft
 from deathcast import match_data as md
 from deathcast import synth as sy
-from deathcast.errors import (ChecksumMismatch, InsufficientPositives, NonPositiveWindow,
-                              SchemaMismatch, SchemaViolation)
+from deathcast.errors import (ChecksumMismatch, DeathcastError, InsufficientPositives,
+                              NonPositiveWindow, SchemaMismatch, SchemaViolation)
 from deathcast.util import hash64
 
-from conftest import random_match
+from conftest import header_mutations, random_match
 from oracles import brute_force_labels
 
 
@@ -101,71 +101,64 @@ class TestDownsample:
             ds.downsample(random_match(rng), 0)
 
 
-def make_samples(rng, n, per_hero=3, pos_prob=0.2):
-    out = []
-    for i in range(n):
-        labels = rng.random(md.N_HEROES) < pos_prob
-        out.append(ds.LabeledSample(
-            features=rng.random((md.N_HEROES, per_hero)).astype("<f4"),
-            labels=labels, match_key=int(rng.integers(1 << 60)),
-            game_time=float(rng.uniform(0, 100))))
-    return out
+def make_columns(rng, n, per_hero=3, pos_prob=0.2):
+    """(features, labels, match_keys, game_times) sample columns."""
+    return (rng.random((n, md.N_HEROES, per_hero)).astype("<f4"),
+            rng.random((n, md.N_HEROES)) < pos_prob,
+            rng.integers(1 << 60, size=n).astype("<u8"),
+            rng.uniform(0, 100, n).astype("<f4"))
+
+
+def make_shard(rng, variant, n):
+    feats, labels, keys, times = make_columns(rng, n)
+    return ds.Shard(variant=variant, features=feats, labels=labels,
+                    match_keys=keys, game_times=times)
 
 
 class TestUndersample:
     def test_positives_always_kept(self, rng):
-        samples = make_samples(rng, 200, pos_prob=0.9)
-        positives = [s for s in samples if s.labels.any()]
-        kept = ds.undersample_negatives(samples, 0.9, seed=1)
-        assert all(any(s is k for k in kept) for s in positives)
+        labels = rng.random((200, md.N_HEROES)) < 0.9
+        keep = ds.undersample_mask(labels, 0.9, seed=1)
+        assert keep[labels.any(axis=1)].all()
 
     def test_drop_zero_is_identity(self, rng):
-        samples = make_samples(rng, 50)
-        assert ds.undersample_negatives(samples, 0.0, seed=1) == samples
+        labels = rng.random((50, md.N_HEROES)) < 0.2
+        assert ds.undersample_mask(labels, 0.0, seed=1).all()
 
     def test_deterministic(self, rng):
-        samples = make_samples(rng, 300)
-        a = ds.undersample_negatives(samples, 0.5, seed=42)
-        b = ds.undersample_negatives(samples, 0.5, seed=42)
-        assert len(a) == len(b) and all(x is y for x, y in zip(a, b))
+        labels = rng.random((300, md.N_HEROES)) < 0.2
+        a = ds.undersample_mask(labels, 0.5, seed=42)
+        b = ds.undersample_mask(labels, 0.5, seed=42)
+        assert np.array_equal(a, b)
 
     def test_kept_fraction_statistical(self):
         labels = np.zeros((100_000, md.N_HEROES), dtype=bool)
         keep = ds.undersample_mask(labels, 0.5, seed=20260808)
         assert abs(keep.mean() - 0.5) < 0.01
 
-    def test_mask_matches_listwise(self, rng):
-        samples = make_samples(rng, 500)
-        labels = np.stack([s.labels for s in samples])
-        keep = ds.undersample_mask(labels, 0.5, seed=9)
-        kept = ds.undersample_negatives(samples, 0.5, seed=9)
-        assert [s for s, k in zip(samples, keep) if k] == kept
-
 
 class TestShards:
     def test_chunking_9000(self, rng, tmp_path):
-        samples = make_samples(rng, 9000)
-        paths = ds.write_shards(samples, tmp_path, "minimal")
+        paths = ds.write_shards(*make_columns(rng, 9000), tmp_path, "minimal")
         sizes = [len(ds.read_shard(p)) for p in paths]
         assert sizes == [4000, 4000, 1000]
 
     def test_round_trip(self, rng, tmp_path):
         for trial in range(10):
-            samples = make_samples(rng, int(rng.integers(1, 50)), per_hero=15)
-            paths = ds.write_shards(samples, tmp_path, "minimal", prefix=f"t{trial}")
+            cols = make_columns(rng, int(rng.integers(1, 50)), per_hero=15)
+            paths = ds.write_shards(*cols, tmp_path, "minimal", prefix=f"t{trial}")
             shard = ds.read_shard(paths[0])
             blob1 = paths[0].read_bytes()
             assert ds.encode_shard(shard) == blob1
-            for i, s in enumerate(samples[:len(shard)]):
-                got = shard.sample(i)
-                assert np.array_equal(got.features, s.features)
-                assert np.array_equal(got.labels, s.labels)
-                assert got.match_key == s.match_key
-                assert got.game_time == np.float32(s.game_time)
+            feats, labels, keys, times = cols
+            for i in range(len(shard)):
+                assert np.array_equal(shard.features[i], feats[i])
+                assert np.array_equal(shard.labels[i], labels[i])
+                assert shard.match_keys[i] == keys[i]
+                assert shard.game_times[i] == times[i]
 
     def test_corrupted_byte(self, rng, tmp_path):
-        samples = make_samples(rng, 10)
-        (path,) = ds.write_shards(samples, tmp_path, "minimal")
+        (path,) = ds.write_shards(*make_columns(rng, 10), tmp_path, "minimal")
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         path.write_bytes(bytes(blob))
@@ -173,10 +166,19 @@ class TestShards:
             ds.read_shard(path)
 
     def test_variant_mismatch(self, rng, tmp_path):
-        samples = make_samples(rng, 5)
-        (path,) = ds.write_shards(samples, tmp_path, "minimal")
+        (path,) = ds.write_shards(*make_columns(rng, 5), tmp_path, "minimal")
         with pytest.raises(SchemaMismatch):
             ds.read_shard(path, expect_variant="full")
+
+    def test_resealed_header_mutations_raise_typed_errors(self, rng):
+        blob = ds.encode_shard(make_shard(rng, "medium", 20))
+        raised = 0
+        for bad in header_mutations(blob, 24, 300, seed=20261018):
+            try:
+                ds.decode_shard(bad)
+            except DeathcastError:
+                raised += 1
+        assert raised > 100
 
     def test_capacity_enforced(self, rng):
         with pytest.raises(SchemaViolation):
@@ -207,13 +209,14 @@ class TestSplit:
 
 
 def pool_from_labels(rng, labels, per_hero=3, shard_size=None):
+    labels = np.asarray(labels, dtype=bool)
     n = len(labels)
-    samples = [ds.LabeledSample(features=rng.random((10, per_hero)).astype("<f4"),
-                                labels=np.asarray(labels[i], dtype=bool),
-                                match_key=i, game_time=float(i))
-               for i in range(n)]
+    feats = rng.random((n, 10, per_hero)).astype("<f4")
     shard_size = shard_size or ds.SHARD_CAPACITY
-    shards = [ds.Shard.from_samples("minimal", samples[i:i + shard_size])
+    shards = [ds.Shard(variant="minimal", features=feats[i:i + shard_size],
+                       labels=labels[i:i + shard_size],
+                       match_keys=np.arange(i, min(n, i + shard_size), dtype="<u8"),
+                       game_times=np.arange(i, min(n, i + shard_size), dtype="<f4"))
               for i in range(0, n, shard_size)]
     return ds.ShardPool(shards)
 
@@ -250,8 +253,8 @@ class TestBalancedBatch:
             assert batch.selected_slot == 4
 
     def test_mixed_variant_pool_rejected(self, rng):
-        s1 = ds.Shard.from_samples("minimal", make_samples(rng, 3))
-        s2 = ds.Shard.from_samples("full", make_samples(rng, 3))
+        s1 = make_shard(rng, "minimal", 3)
+        s2 = make_shard(rng, "full", 3)
         with pytest.raises(SchemaMismatch):
             ds.ShardPool([s1, s2])
 
@@ -279,6 +282,33 @@ class TestBuildDataset:
         assert len(pool) == manifest.counts["train"]
         stats = ft.load_norm_stats(manifest.stats_path)
         assert stats.schema.variant == "minimal"
+
+    def test_moved_directory_still_loads(self, tmp_path):
+        cfg = sy.SynthConfig(n_frames=150, seed=4)
+        schema = ft.feature_schema("minimal")
+        built = ds.build_dataset(lambda: (sy.generate_match(cfg, i) for i in range(6)),
+                                 tmp_path / "a", schema, split_seed=1)
+        (tmp_path / "a").rename(tmp_path / "b")
+        moved = ds.DatasetManifest.load(tmp_path / "b" / "manifest.tsv")
+        assert moved.counts == built.counts
+        pool = ds.ShardPool.from_paths(moved.shard_paths["train"], expect_variant="minimal")
+        assert len(pool) == built.counts["train"]
+        assert ft.load_norm_stats(moved.stats_path).schema == schema
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("window\t", "window\tnot-a-number"),
+        lambda text: text.replace("variant\t", "flavour\t"),
+        lambda text: text + "m99\tholdout\n",
+        lambda text: text + "just one field\n",
+    ])
+    def test_malformed_manifest_is_typed_error(self, tmp_path, edit):
+        cfg = sy.SynthConfig(n_frames=150, seed=4)
+        ds.build_dataset(lambda: (sy.generate_match(cfg, i) for i in range(6)), tmp_path,
+                         ft.feature_schema("minimal"), split_seed=1)
+        path = tmp_path / "manifest.tsv"
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(SchemaViolation):
+            ds.DatasetManifest.load(path)
 
     def test_deterministic_rebuild(self, rng, tmp_path):
         cfg = sy.SynthConfig(n_frames=150, seed=4)

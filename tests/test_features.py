@@ -5,7 +5,7 @@ import pytest
 
 from deathcast import features as ft
 from deathcast import match_data as md
-from deathcast.errors import EmptyStream, SchemaMismatch
+from deathcast.errors import DeathcastError, EmptyStream, SchemaMismatch
 
 from conftest import random_match
 
@@ -276,3 +276,21 @@ class TestNormalization:
         assert loaded.schema == stats.schema
         assert np.array_equal(loaded.mins, stats.mins)
         assert np.array_equal(loaded.maxs, stats.maxs)
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: [],
+        lambda lines: ["schema\tminimal\tmany"] + lines[1:],
+        lambda lines: ["schema\tbogus\t130"] + lines[1:],
+        lambda lines: ["schema\tmedium\t4000000000"] + lines[1:],
+        lambda lines: lines[:1] + ["health\t0.0"] + lines[2:],
+        lambda lines: lines[:1] + ["health\tlow\thigh"] + lines[2:],
+        lambda lines: lines[:1] + [lines[2], lines[1]] + lines[3:],
+    ])
+    def test_malformed_stats_file_is_typed_error(self, tmp_path, edit, bounded_schema):
+        schema = ft.feature_schema("minimal")
+        stats = ft.NormalizationStats(schema, mins=np.zeros(15), maxs=np.ones(15))
+        path = tmp_path / "stats.tsv"
+        ft.save_norm_stats(stats, path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(DeathcastError):
+            ft.load_norm_stats(path)

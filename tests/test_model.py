@@ -4,8 +4,11 @@ import pytest
 from deathcast import features as ft
 from deathcast import model as mo
 from deathcast.dataset import BalancedBatch
-from deathcast.errors import (ChecksumMismatch, InvalidArchitecture, NonFiniteGradient,
-                              ShapeMismatch, VersionMismatch)
+from deathcast.errors import (ChecksumMismatch, DeathcastError, InvalidArchitecture,
+                              NonFiniteGradient, SchemaMismatch, ShapeMismatch,
+                              VersionMismatch)
+
+from conftest import header_mutations, reseal
 
 
 def tiny_config(**kw):
@@ -295,3 +298,38 @@ class TestCheckpoint:
         path.write_bytes(b"NOTACKPT" + bytes(200))
         with pytest.raises((ChecksumMismatch, VersionMismatch)):
             mo.load_checkpoint(path)
+
+    def _blob(self, rng, **kw):
+        cfg = tiny_config(**kw)
+        return mo.encode_checkpoint(mo.init_params(cfg, rng), self._stats(cfg, rng), step=3)
+
+    def test_resealed_header_mutations_raise_typed_errors(self, rng, bounded_schema):
+        blob = self._blob(rng, variant="medium", per_hero_count=109)
+        raised = 0
+        for bad in header_mutations(blob, 80, 300, seed=20261018):
+            try:
+                mo.decode_checkpoint(bad)
+            except DeathcastError:
+                raised += 1
+        assert raised > 100
+
+    def test_unknown_dtype_code(self, rng):
+        blob = bytearray(self._blob(rng))
+        blob[11] = 7  # dtype code
+        with pytest.raises(VersionMismatch):
+            mo.decode_checkpoint(reseal(blob))
+
+    def test_short_layer_table(self, rng):
+        blob = self._blob(rng)
+        at = mo._FIXED.size
+        table = (1000).to_bytes(2, "little")  # 1000 encoder widths, body far shorter
+        bad = blob[:at] + table + blob[at + 2:at + 40] + blob[-8:]
+        with pytest.raises(ChecksumMismatch):
+            mo.decode_checkpoint(reseal(bad))
+
+    def test_huge_roster_rejected_before_schema_build(self, rng, bounded_schema):
+        blob = bytearray(self._blob(rng, variant="medium", per_hero_count=109))
+        for roster in (0, 2_000_000, 2**32 - 1):
+            blob[16:20] = roster.to_bytes(4, "little")  # roster_size field
+            with pytest.raises(SchemaMismatch):
+                mo.decode_checkpoint(reseal(blob))
