@@ -41,7 +41,15 @@ _SHARED_DEFAULTS = {
     "threads": os.cpu_count() or 1,
     "threshold": 0.9,
 }
-_CASTS = {"schema": str, "window_seconds": float, "period_ticks": int,
+
+
+def _variant(text):
+    if text not in ft.VARIANTS:
+        raise ValueError(f"want one of {ft.VARIANTS}")
+    return text
+
+
+_CASTS = {"schema": _variant, "window_seconds": float, "period_ticks": int,
           "seed": int, "threads": int, "threshold": float}
 
 
@@ -61,12 +69,9 @@ def _read_config_file(path):
 def _cast(name, text, origin):
     """A knob's value from the environment or a config file."""
     try:
-        value = _CASTS[name](text)
-    except ValueError:
-        raise UsageError(f"{origin}: bad value {text!r} for {name}") from None
-    if name == "schema" and value not in ft.VARIANTS:
-        raise UsageError(f"{origin}: schema must be one of {ft.VARIANTS}, got {text!r}")
-    return value
+        return _CASTS[name](text)
+    except ValueError as exc:
+        raise UsageError(f"{origin}: bad value {text!r} for {name}: {exc}") from None
 
 
 def resolve_options(args):

@@ -134,11 +134,14 @@ def encode_shard(shard: Shard) -> bytes:
 def decode_shard(blob: bytes) -> Shard:
     variant, (_, per_hero, n), framed = unseal(blob, _HEADER, SHARD_MAGIC, SHARD_VERSION,
                                                "shard")
-    # sized before the record dtype is built, so a corrupt count costs nothing
-    expected = _HEADER.size + n * (_sample_dtype(0).itemsize + 4 * md.N_HEROES * per_hero)
+    try:
+        dtype = _sample_dtype(per_hero)
+    except ValueError:  # numpy refuses records over 2 GiB; only a corrupt per_hero asks
+        raise ChecksumMismatch(f"shard per-hero count {per_hero} out of range") from None
+    expected = _HEADER.size + n * dtype.itemsize
     if len(framed) != expected:
         raise ChecksumMismatch(f"shard body is {len(framed)} bytes, expected {expected}")
-    rec = np.frombuffer(framed, dtype=_sample_dtype(per_hero), offset=_HEADER.size)
+    rec = np.frombuffer(framed, dtype=dtype, offset=_HEADER.size)
     return Shard(
         variant=variant,
         features=rec["features"].copy(),

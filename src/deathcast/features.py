@@ -97,7 +97,8 @@ def feature_schema(variant, roster_size=md.DEFAULT_ROSTER_SIZE) -> FeatureSchema
         names += ["ally_tower_proximity", "enemy_tower_proximity"]
         cats += ["tower"] * 2
         return FeatureSchema("minimal", roster_size, tuple(names), tuple(cats))
-    blocks = _full_blocks(roster_size)
+    # medium has no hero_id block, so its names never depend on the roster
+    blocks = _full_blocks(roster_size if variant == "full" else 0)
     if variant == "medium":
         blocks = [(cat, names) for cat, names in blocks if cat not in ("hero_id", "abilities")]
     names, cats = [], []
@@ -109,14 +110,13 @@ def feature_schema(variant, roster_size=md.DEFAULT_ROSTER_SIZE) -> FeatureSchema
 
 def header_schema(variant, roster_size, input_size, what):
     """feature_schema for a variant and roster read from an artifact of
-    input_size bytes; SchemaMismatch when they cannot be valid.
+    input_size bytes; SchemaMismatch when the roster cannot be valid.
 
-    A roster larger than the artifact itself is rejected before any name is
-    built, so a corrupt header cannot ask for billions of one-hot names.
+    Only the full schema has a feature per roster entry, and the artifact
+    stores each feature in more than one byte, so there a roster larger than
+    the artifact is refused before any name is built.
     """
-    if variant not in VARIANTS:
-        raise SchemaMismatch(f"{what}: unknown schema variant {variant!r}")
-    if not 1 <= roster_size <= input_size:
+    if roster_size < 1 or (variant == "full" and roster_size > input_size):
         raise SchemaMismatch(f"{what}: roster size {roster_size} out of range")
     return feature_schema(variant, roster_size)
 
@@ -543,7 +543,8 @@ def load_norm_stats(path) -> NormalizationStats:
         text = fh.read()
     lines = [ln for ln in text.splitlines() if ln.strip()]
     head = lines[0].split("\t") if lines else []
-    if len(head) != 3 or head[0] != "schema" or not head[2].isdigit():
+    if (len(head) != 3 or head[0] != "schema" or head[1] not in VARIANTS
+            or not head[2].isdigit()):
         raise SchemaMismatch(f"{path}: bad stats header")
     schema = header_schema(head[1], int(head[2]), len(text), path)
     body = lines[1:]

@@ -104,14 +104,15 @@ def header_mutations(blob, n_bytes, count, seed):
 
 @pytest.fixture
 def bounded_schema(monkeypatch):
-    """Make features.feature_schema fail fast on a roster above 10,000, so a
-    decoder that builds a schema from a corrupt roster fails its test
-    instead of exhausting memory."""
+    """Make the schema builder fail fast when it would name a roster above
+    10,000 (one hero_id feature per entry), so a decoder that builds a
+    schema from a corrupt roster fails its test instead of exhausting
+    memory. A roster the schema has no names for is not limited."""
     from deathcast import features as ft
-    real = ft.feature_schema
+    real = ft._full_blocks
 
-    def guarded(variant, roster_size=md.DEFAULT_ROSTER_SIZE):
-        assert roster_size <= 10_000, f"schema built for roster {roster_size}"
-        return real(variant, roster_size)
+    def guarded(roster_size):
+        assert roster_size <= 10_000, f"schema names built for roster {roster_size}"
+        return real(roster_size)
 
-    monkeypatch.setattr(ft, "feature_schema", guarded)
+    monkeypatch.setattr(ft, "_full_blocks", guarded)

@@ -9,7 +9,7 @@ from deathcast.errors import (ChecksumMismatch, DeathcastError, InsufficientPosi
                               NonPositiveWindow, SchemaMismatch, SchemaViolation)
 from deathcast.util import hash64
 
-from conftest import header_mutations, random_match
+from conftest import header_mutations, random_match, reseal
 from oracles import brute_force_labels
 
 
@@ -179,6 +179,15 @@ class TestShards:
             except DeathcastError:
                 raised += 1
         assert raised > 100
+
+    @pytest.mark.parametrize("n", [0, 20])
+    def test_resealed_huge_per_hero_is_typed_error(self, rng, n):
+        for per_hero in (60_000_000, 2**32 - 1):
+            blob = bytearray(ds.encode_shard(make_shard(rng, "medium", n)))
+            blob[8:12] = per_hero.to_bytes(4, "little")
+            blob[12:16] = (0).to_bytes(4, "little")  # sample count
+            with pytest.raises(ChecksumMismatch):
+                ds.decode_shard(reseal(blob))
 
     def test_capacity_enforced(self, rng):
         with pytest.raises(SchemaViolation):

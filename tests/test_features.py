@@ -282,6 +282,7 @@ class TestNormalization:
         lambda lines: ["schema\tminimal\tmany"] + lines[1:],
         lambda lines: ["schema\tbogus\t130"] + lines[1:],
         lambda lines: ["schema\tmedium\t4000000000"] + lines[1:],
+        lambda lines: ["schema\tfull\t4000000000"] + lines[1:],
         lambda lines: lines[:1] + ["health\t0.0"] + lines[2:],
         lambda lines: lines[:1] + ["health\tlow\thigh"] + lines[2:],
         lambda lines: lines[:1] + [lines[2], lines[1]] + lines[3:],
@@ -294,3 +295,17 @@ class TestNormalization:
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
         with pytest.raises(DeathcastError):
             ft.load_norm_stats(path)
+
+    @pytest.mark.parametrize("variant", ["minimal", "medium"])
+    def test_roster_larger_than_stats_file_round_trips(self, tmp_path, variant,
+                                                       bounded_schema):
+        # these schemas have no per-roster feature, so any roster is valid
+        schema = ft.feature_schema(variant, roster_size=4_000_000_000)
+        n = schema.per_hero_count
+        stats = ft.NormalizationStats(schema, mins=np.zeros(n), maxs=np.ones(n))
+        path = tmp_path / "stats.tsv"
+        ft.save_norm_stats(stats, path)
+        assert path.stat().st_size < schema.roster_size
+        loaded = ft.load_norm_stats(path)
+        assert loaded.schema == schema
+        assert np.array_equal(loaded.maxs, stats.maxs)

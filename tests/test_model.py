@@ -328,8 +328,19 @@ class TestCheckpoint:
             mo.decode_checkpoint(reseal(bad))
 
     def test_huge_roster_rejected_before_schema_build(self, rng, bounded_schema):
-        blob = bytearray(self._blob(rng, variant="medium", per_hero_count=109))
+        full = ft.feature_schema("full").per_hero_count
+        blob = bytearray(self._blob(rng, variant="full", per_hero_count=full))
         for roster in (0, 2_000_000, 2**32 - 1):
             blob[16:20] = roster.to_bytes(4, "little")  # roster_size field
             with pytest.raises(SchemaMismatch):
                 mo.decode_checkpoint(reseal(blob))
+
+    @pytest.mark.parametrize("variant,per_hero", [("minimal", 15), ("medium", 109)])
+    def test_roster_larger_than_checkpoint_round_trips(self, rng, variant, per_hero,
+                                                       bounded_schema):
+        blob = self._blob(rng, variant=variant, per_hero_count=per_hero,
+                          shared_layers=(4,), final_layers=(4,), roster_size=2**32 - 1)
+        assert len(blob) < 2**32 - 1
+        params, stats, step = mo.decode_checkpoint(blob)
+        assert params.config.roster_size == stats.schema.roster_size == 2**32 - 1
+        assert mo.encode_checkpoint(params, stats, step) == blob
