@@ -23,7 +23,7 @@ from .errors import DeathcastError, InsufficientPositives, SchemaViolation, Usag
 from .evaluation import (evaluate_test, export_timeline, save_eval_report,
                          save_timeline, save_ttd_distribution, time_to_death_distribution)
 from .model import ModelConfig, default_config, load_checkpoint
-from .util import ordered_map
+from .util import ordered_map, write_atomic
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -81,6 +81,10 @@ def resolve_options(args):
     """
     config = getattr(args, "config", None)
     file_vals = _read_config_file(config) if config else {}
+    unknown = sorted(set(file_vals) - set(_SHARED_DEFAULTS))
+    if unknown:
+        raise UsageError(f"{config}: unknown option {unknown[0]!r}, "
+                         f"want one of {sorted(_SHARED_DEFAULTS)}")
     resolved = {}
     for name, default in _SHARED_DEFAULTS.items():
         value = default
@@ -145,20 +149,42 @@ def _store_manifest_path(store):
     return Path(store) / "store_manifest.tsv"
 
 
+def _match_files(directory):
+    """The match files of a directory, in name order."""
+    return sorted(p for p in Path(directory).iterdir()
+                  if p.name.endswith((".jsonl", ".jsonl.gz")))
+
+
+def _read_store_manifest(store):
+    """(roster size, [(match_id, record path)]) of an ingested store.
+
+    The roster is None for a store written before ingest recorded it.
+    """
+    path = _store_manifest_path(store)
+    roster, rows = None, []
+    for ln in path.read_text(encoding="utf-8").splitlines():
+        fields = ln.split("\t")
+        if len(fields) == 3:
+            rows.append((fields[0], Path(store) / fields[1]))
+        elif fields[0] == "roster_size" and len(fields) == 2 and fields[1].isdecimal():
+            roster = int(fields[1])
+        elif ln.strip():
+            raise SchemaViolation(f"{path}: malformed line {ln!r}")
+    if not rows:
+        raise SchemaViolation(f"{path}: no matches")
+    return roster, rows
+
+
 def read_store(store):
     """(match_id, path) pairs from an ingested store, manifest order."""
-    rows = []
-    for ln in _store_manifest_path(store).read_text(encoding="utf-8").splitlines():
-        if not ln.strip():
-            continue
-        mid, rel, _frames = ln.split("\t")
-        rows.append((mid, Path(store) / rel))
-    return rows
+    return _read_store_manifest(store)[1]
 
 
 def cmd_ingest(args, opt):
+    """Parse and validate each match file once; store it as a binary record
+    (what extract and eval read) beside its canonical .jsonl copy."""
     src = Path(args.matches)
-    files = sorted(p for p in src.iterdir() if p.suffix in (".jsonl", ".gz"))
+    files = _match_files(src)
     if not files:
         raise SchemaViolation(f"no match files (*.jsonl / *.jsonl.gz) under {src}")
     out = Path(args.out)
@@ -166,36 +192,38 @@ def cmd_ingest(args, opt):
     lines = []
     rejected = 0
     seen = set()
+    roster = None
     for p in files:
         try:
             m = md.load_match(p)
+            if m.match_id in seen:
+                raise SchemaViolation(f"duplicate match id {m.match_id}")
+            if roster is not None and m.roster_size != roster:
+                raise SchemaViolation(f"roster_size {m.roster_size} differs from the "
+                                      f"first accepted match's {roster}")
+            record = md.encode_match(m)
         except DeathcastError as exc:
             print(f"reject\t{p.name}\t{exc}", file=sys.stderr)
             rejected += 1
             continue
-        report = md.validate_match(m)
-        if not report.ok:
-            print(f"reject\t{p.name}\t{report.violations[0]}", file=sys.stderr)
-            rejected += 1
-            continue
-        if m.match_id in seen:
-            print(f"reject\t{p.name}\tduplicate match id {m.match_id}", file=sys.stderr)
-            rejected += 1
-            continue
         seen.add(m.match_id)
-        rel = f"{m.match_id}.jsonl"
-        md.save_match(m, out / rel, compress=False)
+        roster = m.roster_size
+        rel = f"{m.match_id}.dmatch"
+        write_atomic(out / rel, record)
+        md.save_match(m, out / f"{m.match_id}.jsonl", compress=False)
         lines.append(f"{m.match_id}\t{rel}\t{m.n_frames}")
     if not lines:
         raise SchemaViolation(f"every match under {src} was rejected")
-    _store_manifest_path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = "\n".join([f"roster_size\t{roster}", *lines]) + "\n"
+    write_atomic(_store_manifest_path(out), text.encode("utf-8"))
     print(f"ingested {len(lines)} matches ({rejected} rejected) into {out}")
     return 0
 
 
 def cmd_extract(args, opt):
-    rows = read_store(args.store)
-    schema_roster = md.load_match(rows[0][1]).roster_size
+    schema_roster, rows = _read_store_manifest(args.store)
+    if schema_roster is None:
+        schema_roster = md.load_match(rows[0][1]).roster_size
     schema = ft.feature_schema(opt.schema, roster_size=schema_roster)
 
     def provider():
@@ -273,8 +301,7 @@ def _eval_matches(args, manifest):
     """Pick the evaluation match set and enforce the split-leak guard."""
     store_rows = dict(read_store(args.store))
     if args.match_dir is not None:
-        paths = sorted(Path(args.match_dir).iterdir())
-        matches = [md.load_match(p) for p in paths if p.suffix in (".jsonl", ".gz")]
+        matches = [md.load_match(p) for p in _match_files(args.match_dir)]
         held = set(manifest.split.train) | set(manifest.split.val)
         leaked = [m.match_id for m in matches if m.match_id in held]
         if leaked:

@@ -132,8 +132,10 @@ def encode_shard(shard: Shard) -> bytes:
 
 
 def decode_shard(blob: bytes) -> Shard:
-    variant, (_, per_hero, n), framed = unseal(blob, _HEADER, SHARD_MAGIC, SHARD_VERSION,
-                                               "shard")
+    variant, (pad, per_hero, n), framed = unseal(blob, _HEADER, SHARD_MAGIC, SHARD_VERSION,
+                                                 "shard")
+    if pad != 0:
+        raise ChecksumMismatch(f"shard header pad byte is {pad}, expected 0")
     try:
         dtype = _sample_dtype(per_hero)
     except ValueError:  # numpy refuses records over 2 GiB; only a corrupt per_hero asks

@@ -22,6 +22,12 @@ FORMAT (UTF-8 text, one JSON object per line, optionally gzip-compressed):
 The `towers` section is optional but must appear in every frame or in none,
 and tower count/team/position must not change across frames (only `alive`
 may). Death times are full-resolution seconds, independent of frame times.
+
+STORE RECORD (binary, framed by util.seal without a variant code): the
+header below, then every column as a little-endian array in `_COLUMNS`
+order, then the match id in UTF-8. `ingest` writes one per match so later
+stages decode columns instead of parsing text; `load_match` tells the two
+forms apart by their leading magic bytes.
 """
 
 from __future__ import annotations
@@ -30,11 +36,13 @@ import gzip
 import io
 import json
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyMatch, MalformedRecord, SchemaViolation
+from .errors import ChecksumMismatch, EmptyMatch, MalformedRecord, SchemaViolation
+from .util import seal, unseal, write_atomic
 
 N_HEROES = 10
 TEAM_A_SLOTS = (0, 1, 2, 3, 4)
@@ -647,6 +655,10 @@ def parse_match(source) -> MatchRecord:
         tower_team=tower_team, tower_pos=tower_pos, tower_alive=tower_alive,
         death_slot=death_slot, death_time=death_time,
     )
+    return _validated(m)
+
+
+def _validated(m):
     report = validate_match(m)
     if not report.ok:
         raise SchemaViolation(f"invariant breach: {report.violations[0]}")
@@ -685,7 +697,8 @@ def write_match(m: MatchRecord) -> bytes:
     parse_match(write_match(m)) == m field for field.
     """
     out = io.StringIO()
-    dump = lambda obj: json.dump(obj, out, separators=(",", ":"))  # noqa: E731
+    # json.dumps runs the C encoder; json.dump streams through the Python one
+    dump = lambda obj: out.write(json.dumps(obj, separators=(",", ":")))  # noqa: E731
     dump({"match_id": m.match_id, "tick_interval": m.tick_interval,
           "roster_size": m.roster_size, "hero_ids": m.hero_ids.tolist()})
     out.write("\n")
@@ -723,13 +736,121 @@ def save_match(m: MatchRecord, path, compress=None):
         with gzip.GzipFile(fileobj=buf, mode="wb", mtime=0) as gz:
             gz.write(raw)
         raw = buf.getvalue()
-    with open(path, "wb") as f:
-        f.write(raw)
+    write_atomic(path, raw)
+
+
+# ---------------------------------------------------------------------------
+# Store records
+
+MATCH_MAGIC = b"DMR1"
+MATCH_VERSION = 1
+# magic, version, has_towers, pad, match id bytes, frames, deaths, towers,
+# roster_size, tick_interval
+_HEADER = struct.Struct("<4sHBBIIIIqd")
+
+# (attribute, dtype, shape): a string in a shape is a header count. The
+# 8-byte columns come first so that every column after the 40-byte header
+# starts aligned.
+_COLUMNS = (
+    ("game_time", "<f8", ("frames",)),
+    ("health", "<f8", ("frames", N_HEROES)),
+    ("max_health", "<f8", ("frames", N_HEROES)),
+    ("mana", "<f8", ("frames", N_HEROES)),
+    ("max_mana", "<f8", ("frames", N_HEROES)),
+    ("pos", "<f8", ("frames", N_HEROES, 2)),
+    ("state", "<f8", ("frames", N_HEROES, N_STATE_ATTRS)),
+    ("stats", "<f8", ("frames", N_HEROES, N_STAT_ATTRS)),
+    ("item_cooldown", "<f8", ("frames", N_HEROES, N_TRACKED_ITEMS)),
+    ("abilities", "<f8", ("frames", N_HEROES, N_ABILITY_SLOTS, N_ABILITY_ATTRS)),
+    ("tower_pos", "<f8", ("towers", 2)),
+    ("death_time", "<f8", ("deaths",)),
+    ("tick", "<i8", ("frames",)),
+    ("hero_ids", "<i4", (N_HEROES,)),
+    ("paused", "|b1", ("frames",)),
+    ("alive", "|b1", ("frames", N_HEROES)),
+    ("visible", "|b1", ("frames", N_HEROES)),
+    ("item_owned", "|b1", ("frames", N_HEROES, N_TRACKED_ITEMS)),
+    ("ability_count", "|i1", ("frames", N_HEROES)),
+    ("tower_team", "|i1", ("towers",)),
+    ("tower_alive", "|b1", ("frames", "towers")),
+    ("death_slot", "|i1", ("deaths",)),
+)
+
+
+def encode_match(m: MatchRecord) -> bytes:
+    """The match as a sealed store record; decode_match inverts it exactly."""
+    try:
+        match_id = m.match_id.encode("utf-8")
+        n_towers = len(m.tower_team) if m.has_towers else 0
+        header = (m.has_towers, 0, len(match_id), m.n_frames, len(m.death_slot), n_towers,
+                  m.roster_size, m.tick_interval)
+        columns = [np.ascontiguousarray(getattr(m, name), dtype=dtype)
+                   for name, dtype, _ in _COLUMNS if getattr(m, name) is not None]
+        return seal(_HEADER, MATCH_MAGIC, MATCH_VERSION, None, *header,
+                    body=[*columns, match_id])
+    except (UnicodeEncodeError, struct.error) as exc:
+        raise SchemaViolation(f"match {m.match_id!r} does not fit a store record: {exc}") \
+            from None
+
+
+def decode_match(blob) -> MatchRecord:
+    """A store record back to its MatchRecord, with parse_match's guarantees.
+
+    Every header count is checked against the bytes present before any
+    column is read; the columns are read-only views of the blob.
+    """
+    _, header, framed = unseal(blob, _HEADER, MATCH_MAGIC, MATCH_VERSION, "match record",
+                               has_variant=False)
+    has_towers, pad, id_len, *counts, roster_size, tick_interval = header
+    counts = dict(zip(("frames", "deaths", "towers"), counts))
+    if pad != 0 or has_towers > 1 or (counts["towers"] and not has_towers):
+        raise ChecksumMismatch(f"match record header flags {has_towers}/{pad} are corrupt")
+    layout = [(name, np.dtype(dtype), tuple(counts.get(d, d) for d in shape))
+              for name, dtype, shape in _COLUMNS if has_towers or not name.startswith("tower")]
+    expected = _HEADER.size + id_len + sum(math.prod(shape) * dtype.itemsize
+                                           for _, dtype, shape in layout)
+    if len(framed) != expected:
+        raise ChecksumMismatch(f"match record body is {len(framed)} bytes, expected {expected}")
+    cols = dict.fromkeys(("tower_team", "tower_pos", "tower_alive"))
+    at = _HEADER.size
+    for name, dtype, shape in layout:
+        cols[name] = np.frombuffer(framed, dtype, math.prod(shape), at).reshape(shape)
+        at += cols[name].nbytes
+    try:
+        match_id = bytes(framed[at:]).decode("utf-8")
+    except UnicodeDecodeError:
+        raise SchemaViolation("match record id is not UTF-8") from None
+    _check_expressible(cols)
+    return _validated(MatchRecord(match_id=match_id, tick_interval=tick_interval,
+                                  roster_size=roster_size, **cols))
+
+
+def _check_expressible(cols):
+    """Refuse column values that the line format has no way to write, so a
+    store record holds only what a parsed file can hold."""
+    flags = (cols[name].view(np.uint8) for name, dtype, _ in _COLUMNS
+             if dtype == "|b1" and cols[name] is not None)
+    if any((f > 1).any() for f in flags):
+        raise SchemaViolation("match record has a boolean byte other than 0 or 1")
+    count = cols["ability_count"]
+    if ((count < 0) | (count > N_ABILITY_SLOTS)).any():
+        raise SchemaViolation(f"match record has an ability count outside 0..{N_ABILITY_SLOTS}")
+    if cols["abilities"][np.arange(N_ABILITY_SLOTS) >= count[..., None]].any():
+        raise SchemaViolation("match record has ability attributes past the ability count")
+    if cols["item_cooldown"][~cols["item_owned"]].any():
+        raise SchemaViolation("match record has a cooldown on an item not owned")
+    if ((cols["death_slot"] < 0) | (cols["death_slot"] >= N_HEROES)).any():
+        raise SchemaViolation("match record has a death slot outside 0..9")
+    if not np.isfinite(cols["game_time"]).all():
+        raise SchemaViolation("match record has a non-finite game_time")
 
 
 def load_match(path) -> MatchRecord:
+    """A match from a store record or a line-format file (gzip accepted),
+    told apart by the file's leading magic bytes."""
     with open(path, "rb") as f:
-        return parse_match(f.read())
+        data = f.read()
+    return decode_match(data) if data[:4] == MATCH_MAGIC else parse_match(data)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
-"""Small shared helpers: stable hashing, binary framing, deterministic parallel map."""
+"""Small shared helpers: stable hashing, binary framing, atomic writes,
+deterministic parallel map."""
 
 from __future__ import annotations
 
 import hashlib
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from . import features as ft
 from .errors import ChecksumMismatch, VersionMismatch
-from .features import VARIANTS
 
 
 def hash64(text: str) -> int:
@@ -20,29 +22,43 @@ def hash64(text: str) -> int:
 def seal(header, magic, version, variant, *fields, body=()):
     """Binary file framing: header (magic, version, variant code as the
     index into features.VARIANTS, fields), the body's bytes-like parts, and
-    an 8-byte blake2b of both, joined with one copy."""
-    parts = [header.pack(magic, version, VARIANTS.index(variant), *fields), *body]
+    an 8-byte blake2b of both, joined with one copy. A format without a
+    schema variant passes variant=None and has no code in its header."""
+    code = () if variant is None else (ft.VARIANTS.index(variant),)
+    parts = [header.pack(magic, version, *code, *fields), *body]
     digest = hashlib.blake2b(digest_size=8)
     for part in parts:
         digest.update(part)
     return b"".join([*parts, digest.digest()])
 
 
-def unseal(blob, header, magic, version, what):
+def unseal(blob, header, magic, version, what, has_variant=True):
     """(variant, other header fields, memoryview of header + body) of a
     sealed blob, after the length, checksum, magic, version and variant-code
-    checks."""
+    checks. Without a variant code in the header the variant is None."""
     if len(blob) < header.size + 8:
         raise ChecksumMismatch(f"{what} truncated")
     framed = memoryview(blob)[:-8]
     if hashlib.blake2b(framed, digest_size=8).digest() != blob[-8:]:
         raise ChecksumMismatch(f"{what} checksum does not match contents")
-    got_magic, got_version, code, *fields = header.unpack_from(framed)
+    got_magic, got_version, *fields = header.unpack_from(framed)
     if got_magic != magic or got_version != version:
         raise VersionMismatch(f"bad {what} magic/version {got_magic!r}/{got_version}")
-    if code >= len(VARIANTS):
+    if not has_variant:
+        return None, fields, framed
+    code, *fields = fields
+    if code >= len(ft.VARIANTS):
         raise VersionMismatch(f"unknown {what} variant code {code}")
-    return VARIANTS[code], fields, framed
+    return ft.VARIANTS[code], fields, framed
+
+
+def write_atomic(path, data):
+    """Write bytes to a sibling temporary file, then rename it over path,
+    so readers never see a partly written file."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as f:
+        f.write(data)
+    os.replace(tmp, path)
 
 
 def spawn_rngs(seed, n):

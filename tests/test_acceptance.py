@@ -265,6 +265,14 @@ def test_10_round_trips(tmp_path, rng):
         raw2 = md.write_match(md.parse_match(raw1))
         ok &= raw1 == raw2
         checked += 1
+    # 40 binary match store records
+    for i in range(40):
+        m = random_match(rng)
+        blob1 = md.encode_match(m)
+        m2 = md.decode_match(blob1)
+        blob2 = md.encode_match(m2)
+        ok &= blob1 == blob2 and m2 == m
+        checked += 1
     # 40 shards
     for i in range(40):
         n = int(rng.integers(1, 60))
@@ -294,5 +302,6 @@ def test_10_round_trips(tmp_path, rng):
         blob2 = mo.encode_checkpoint(p2, s2, step=step)
         ok &= blob1 == blob2
         checked += 1
-    report(10, "round-trips", ok and checked == 100,
-           f"({checked} instances: 40 match files, 40 shards, 20 checkpoints)")
+    report(10, "round-trips", ok and checked == 140,
+           f"({checked} instances: 40 match files, 40 match store records, 40 shards, "
+           "20 checkpoints)")

@@ -58,7 +58,8 @@ class TestOptionResolution:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error\tkind=UsageError\texit=2\t")
 
-    @pytest.mark.parametrize("line", ["schema=nope", "seed=five", "no equals sign"])
+    @pytest.mark.parametrize("line", ["schema=nope", "seed=five", "no equals sign",
+                                      "schmea=full"])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, line):
         conf = tmp_path / "opts.conf"
         conf.write_text(line + "\n")
@@ -104,20 +105,62 @@ class TestPipeline:
         assert "[pr_curve]" in text
         assert ttd.read_text().splitlines()[-1].startswith("no_death\t")
 
-    def test_eval_refuses_training_matches(self, pipeline_dirs, tmp_path):
+    def test_eval_refuses_training_matches(self, pipeline_dirs, tmp_path, capsys):
         root, raw, store, data, run = pipeline_dirs
         from deathcast.dataset import DatasetManifest
         manifest = DatasetManifest.load(data / "manifest.tsv")
         train_dir = tmp_path / "train_matches"
         train_dir.mkdir()
-        rows = dict(cli.read_store(store))
         first_train = manifest.split.train[0]
-        (train_dir / f"{first_train}.jsonl").write_bytes(rows[first_train].read_bytes())
+        name = f"{first_train}.jsonl"
+        (train_dir / name).write_bytes((store / name).read_bytes())
         rc = run_cli("eval", "--checkpoint", str(run / "checkpoint.dckpt"),
                      "--data", str(data), "--store", str(store),
                      "--match-dir", str(train_dir),
                      "--report", str(tmp_path / "r.tsv"))
         assert rc == cli.EXIT_DATA
+        assert "refusing to evaluate on train/val matches" in capsys.readouterr().err
+
+    def test_eval_match_dir_ignores_stray_archive(self, pipeline_dirs, tmp_path):
+        root, raw, store, data, run = pipeline_dirs
+        from deathcast.dataset import DatasetManifest
+        manifest = DatasetManifest.load(data / "manifest.tsv")
+        test_dir = tmp_path / "test_matches"
+        test_dir.mkdir()
+        for mid in manifest.split.test:
+            name = f"{mid}.jsonl"
+            (test_dir / name).write_bytes((store / name).read_bytes())
+        (test_dir / "notes.tar.gz").write_bytes(b"not a match file")
+        report = tmp_path / "r.tsv"
+        assert run_cli("eval", "--checkpoint", str(run / "checkpoint.dckpt"),
+                       "--data", str(data), "--store", str(store),
+                       "--match-dir", str(test_dir), "--report", str(report)) == 0
+        stored = root / "stored_report.tsv"
+        assert run_cli("eval", "--checkpoint", str(run / "checkpoint.dckpt"),
+                       "--data", str(data), "--store", str(store),
+                       "--report", str(stored)) == 0
+        assert report.read_bytes() == stored.read_bytes()
+
+    def test_store_from_before_binary_records_still_works(self, pipeline_dirs, tmp_path):
+        """A store whose manifest names .jsonl files and no roster (the
+        layout before binary records) extracts, evaluates and predicts."""
+        root, raw, store, data, run = pipeline_dirs
+        old = tmp_path / "old_store"
+        old.mkdir()
+        lines = []
+        for mid, path in cli.read_store(store):
+            name = f"{mid}.jsonl"
+            (old / name).write_bytes((store / name).read_bytes())
+            lines.append(f"{mid}\t{name}\t{md.load_match(path).n_frames}")
+        (old / "store_manifest.tsv").write_text("\n".join(lines) + "\n")
+        assert [p.name for _, p in cli.read_store(old)] == [l.split("\t")[1] for l in lines]
+        assert run_cli("extract", "--store", str(old), "--out", str(tmp_path / "data"),
+                       "--schema", "minimal", "--seed", "3", "--threads", "1") == 0
+        for p in sorted(data.glob("*.shard")) + [data / "norm_stats.tsv"]:
+            assert (tmp_path / "data" / p.name).read_bytes() == p.read_bytes()
+        assert run_cli("eval", "--checkpoint", str(run / "checkpoint.dckpt"),
+                       "--data", str(data), "--store", str(old),
+                       "--report", str(tmp_path / "r.tsv"), "--threads", "1") == 0
 
     def test_predict_writes_timeline(self, pipeline_dirs, tmp_path):
         root, raw, store, data, run = pipeline_dirs
@@ -170,6 +213,35 @@ class TestIngest:
         err = capsys.readouterr().err
         assert "reject\tbad.jsonl" in err
         assert len(cli.read_store(store)) == 1
+
+    def test_rejects_roster_mismatch_and_records_roster(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        cfg = sy.SynthConfig(n_matches=2, n_frames=120, seed=8)
+        for i in range(2):
+            md.save_match(sy.generate_match(cfg, i), raw / f"m{i}.jsonl")
+        lines = (raw / "m1.jsonl").read_text().splitlines()
+        lines[0] = lines[0].replace('"roster_size":130', '"roster_size":200')
+        (raw / "m1.jsonl").write_text("\n".join(lines) + "\n")
+        store = tmp_path / "store"
+        assert run_cli("ingest", "--matches", str(raw), "--out", str(store)) == 0
+        err = capsys.readouterr().err
+        assert "reject\tm1.jsonl\troster_size 200 differs" in err
+        assert (store / "store_manifest.tsv").read_text().splitlines()[0] == "roster_size\t130"
+        assert len(cli.read_store(store)) == 1
+
+    def test_takes_only_match_files(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        cfg = sy.SynthConfig(n_frames=120, seed=8)
+        md.save_match(sy.generate_match(cfg, 0), raw / "good.jsonl.gz")
+        (raw / "backup.tar.gz").write_bytes(b"not a match file")
+        store = tmp_path / "store"
+        assert run_cli("ingest", "--matches", str(raw), "--out", str(store)) == 0
+        assert "reject" not in capsys.readouterr().err
+        (mid, path), = cli.read_store(store)
+        assert md.load_match(path) == md.load_match(store / f"{mid}.jsonl")
+        assert path.read_bytes()[:4] == md.MATCH_MAGIC
 
     def test_all_rejected_is_data_error(self, tmp_path, capsys):
         raw = tmp_path / "raw"

@@ -180,6 +180,13 @@ class TestShards:
                 raised += 1
         assert raised > 100
 
+    def test_resealed_pad_byte_is_typed_error(self, rng):
+        blob = bytearray(ds.encode_shard(make_shard(rng, "medium", 20)))
+        assert blob[7] == 0  # magic 4, version 2, variant 1, then the pad byte
+        blob[7] = 0xAB
+        with pytest.raises(ChecksumMismatch, match="pad"):
+            ds.decode_shard(reseal(blob))
+
     @pytest.mark.parametrize("n", [0, 20])
     def test_resealed_huge_per_hero_is_typed_error(self, rng, n):
         for per_hero in (60_000_000, 2**32 - 1):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from deathcast import match_data as md
-from deathcast.errors import EmptyMatch, MalformedRecord, SchemaViolation
+from deathcast.errors import (ChecksumMismatch, DeathcastError, EmptyMatch, MalformedRecord,
+                              SchemaViolation, VersionMismatch)
 
-from conftest import random_match
+from conftest import header_mutations, random_match, reseal
 
 
 def minimal_lines(n_frames=1, deaths=()):
@@ -229,3 +230,112 @@ class TestValidate:
             m = random_match(rng)
             assert md.validate_match(m).ok
             md.parse_match(md.write_match(m))  # must not raise
+
+
+def replaced(m, **columns):
+    """A copy of m with some columns replaced (the rest shared)."""
+    names = ("match_id", "tick_interval", "roster_size", "hero_ids", "tick", "game_time",
+             "paused", "alive", "health", "max_health", "mana", "max_mana", "pos", "visible",
+             "state", "stats", "item_owned", "item_cooldown", "abilities", "ability_count",
+             "tower_team", "tower_pos", "tower_alive", "death_slot", "death_time")
+    return md.MatchRecord(**{n: columns.get(n, getattr(m, n)) for n in names})
+
+
+class TestStoreRecord:
+    def test_random_round_trips(self, rng):
+        for _ in range(30):
+            m = random_match(rng)
+            blob = md.encode_match(m)
+            m2 = md.decode_match(blob)
+            assert m2 == m
+            assert m2.match_id == m.match_id and m2.has_towers == m.has_towers
+            assert md.encode_match(m2) == blob
+
+    def test_towers_section_without_towers_round_trips(self, rng):
+        m = random_match(rng, with_towers=False)
+        m = replaced(m, tower_team=np.zeros(0), tower_pos=np.zeros((0, 2)),
+                     tower_alive=np.zeros((m.n_frames, 0), dtype=bool))
+        assert md.decode_match(md.encode_match(m)).has_towers
+
+    def test_load_match_picks_decoder_by_magic(self, rng, tmp_path):
+        m = random_match(rng)
+        md.save_match(m, tmp_path / "m.jsonl")
+        (tmp_path / "m.dmatch").write_bytes(md.encode_match(m))
+        assert md.load_match(tmp_path / "m.jsonl") == m
+        assert md.load_match(tmp_path / "m.dmatch") == m
+
+    def test_corrupted_byte(self, rng):
+        blob = bytearray(md.encode_match(random_match(rng)))
+        blob[len(blob) // 2] ^= 0xFF
+        with pytest.raises(ChecksumMismatch):
+            md.decode_match(bytes(blob))
+
+    def test_bad_version_is_typed_error(self, rng):
+        blob = bytearray(md.encode_match(random_match(rng)))
+        blob[4:6] = (md.MATCH_VERSION + 1).to_bytes(2, "little")
+        with pytest.raises(VersionMismatch):
+            md.decode_match(reseal(blob))
+
+    def test_resealed_header_mutations_raise_or_validate(self, rng):
+        m = random_match(rng, n_frames=6, with_towers=True)
+        blob = md.encode_match(m)
+        raised = 0
+        for bad in header_mutations(blob, md._HEADER.size, 400, seed=20261019):
+            try:
+                decoded = md.decode_match(bad)
+            except DeathcastError:
+                raised += 1
+            else:
+                assert md.validate_match(decoded).ok
+        assert raised > 200
+
+    @pytest.mark.parametrize("field,at", [("frames", 12), ("deaths", 16), ("towers", 20)])
+    def test_resealed_huge_count_is_typed_error(self, rng, field, at):
+        blob = bytearray(md.encode_match(random_match(rng, with_towers=True)))
+        blob[at:at + 4] = (2**32 - 1).to_bytes(4, "little")
+        with pytest.raises(ChecksumMismatch, match="expected"):
+            md.decode_match(reseal(blob))
+
+    def test_non_utf8_match_id_is_typed_error(self, rng):
+        m = random_match(rng, match_id="abcd")
+        blob = bytearray(md.encode_match(m))
+        blob[-12:-8] = b"\xff\xfe\xfd\xfc"  # the id, just before the checksum
+        with pytest.raises(SchemaViolation, match="UTF-8"):
+            md.decode_match(reseal(blob))
+
+    def test_invariant_breach_is_refused(self, rng):
+        m = random_match(rng, n_frames=3)
+        health = m.health.copy()
+        health[1, 4] = m.max_health[1, 4] + 1
+        with pytest.raises(SchemaViolation, match="invariant breach"):
+            md.decode_match(md.encode_match(replaced(m, health=health)))
+
+    def test_values_the_line_format_cannot_hold_are_refused(self, rng):
+        m = random_match(rng, n_frames=3)
+        alive = m.alive.copy()
+        alive.view(np.uint8)[0, 0] = 2
+        count = m.ability_count.copy()
+        count[0, 0] = 0
+        abilities = m.abilities.copy()
+        abilities[0, 0, 0, 0] = 1.0
+        owned = m.item_owned.copy()
+        owned[0, 0, 0] = False
+        cooldown = m.item_cooldown.copy()
+        cooldown[0, 0, 0] = 3.0
+        game_time = m.game_time.copy()
+        game_time[1] = np.nan
+        for bad in (dict(alive=alive),
+                    dict(ability_count=np.full_like(count, md.N_ABILITY_SLOTS + 1)),
+                    dict(ability_count=count, abilities=abilities),
+                    dict(item_owned=owned, item_cooldown=cooldown),
+                    dict(death_slot=[md.N_HEROES], death_time=[float(m.game_time[0])]),
+                    dict(game_time=game_time)):
+            with pytest.raises(SchemaViolation):
+                md.decode_match(md.encode_match(replaced(m, **bad)))
+
+    def test_unencodable_match_is_typed_error(self, rng):
+        m = random_match(rng)
+        with pytest.raises(SchemaViolation):
+            md.encode_match(replaced(m, roster_size=2**70))
+        with pytest.raises(SchemaViolation):
+            md.encode_match(replaced(m, match_id="\ud800"))
