@@ -180,9 +180,16 @@ def read_store(store):
     return _read_store_manifest(store)[1]
 
 
+def _check_store_name(match_id):
+    """A match id names the store's files and manifest rows: refuse one that
+    cannot be a single file name or would break a manifest line."""
+    if match_id in ("", ".", "..") or any(c in match_id for c in "/\\\0\t\r\n"):
+        raise SchemaViolation(f"match id {match_id!r} cannot name a store file")
+
+
 def cmd_ingest(args, opt):
     """Parse and validate each match file once; store it as a binary record
-    (what extract and eval read) beside its canonical .jsonl copy."""
+    (what extract and eval read) beside the validated text, uncompressed."""
     src = Path(args.matches)
     files = _match_files(src)
     if not files:
@@ -195,7 +202,9 @@ def cmd_ingest(args, opt):
     roster = None
     for p in files:
         try:
-            m = md.load_match(p)
+            raw = p.read_bytes()
+            m = md.parse_match(raw)
+            _check_store_name(m.match_id)
             if m.match_id in seen:
                 raise SchemaViolation(f"duplicate match id {m.match_id}")
             if roster is not None and m.roster_size != roster:
@@ -210,7 +219,7 @@ def cmd_ingest(args, opt):
         roster = m.roster_size
         rel = f"{m.match_id}.dmatch"
         write_atomic(out / rel, record)
-        md.save_match(m, out / f"{m.match_id}.jsonl", compress=False)
+        write_atomic(out / f"{m.match_id}.jsonl", md.gunzip(raw))
         lines.append(f"{m.match_id}\t{rel}\t{m.n_frames}")
     if not lines:
         raise SchemaViolation(f"every match under {src} was rejected")

@@ -1,3 +1,6 @@
+import gzip
+import json
+import re
 import subprocess
 import sys
 
@@ -242,6 +245,75 @@ class TestIngest:
         (mid, path), = cli.read_store(store)
         assert md.load_match(path) == md.load_match(store / f"{mid}.jsonl")
         assert path.read_bytes()[:4] == md.MATCH_MAGIC
+
+    @pytest.mark.parametrize("bad_id", ["", ".", "..", "a/b", "a\\b", "a\0b", "a\tb",
+                                        "a\rb", "a\nb"])
+    def test_rejects_match_id_that_cannot_name_a_file(self, tmp_path, capsys, bad_id):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        cfg = sy.SynthConfig(n_matches=2, n_frames=60, seed=8)
+        good = sy.generate_match(cfg, 0)
+        md.save_match(good, raw / "good.jsonl")
+        lines = md.write_match(sy.generate_match(cfg, 1)).decode().splitlines()
+        head = json.loads(lines[0])
+        head["match_id"] = bad_id
+        (raw / "bad.jsonl").write_text("\n".join([json.dumps(head), *lines[1:]]) + "\n")
+        store = tmp_path / "store"
+        assert run_cli("ingest", "--matches", str(raw), "--out", str(store)) == 0
+        assert "reject\tbad.jsonl\tmatch id" in capsys.readouterr().err
+        assert len(cli.read_store(store)) == 1
+        assert sorted(p.name for p in store.iterdir()) == sorted(
+            [f"{good.match_id}.dmatch", f"{good.match_id}.jsonl", "store_manifest.tsv"])
+
+    def test_infinite_game_time_rejected_at_ingest(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        assert run_cli("synth", "--out", str(raw), "--matches", "5", "--frames", "240",
+                       "--seed", "7", "--threads", "1") == 0
+        bad = raw / "match_00002.jsonl"
+        lines = bad.read_text().splitlines()
+        lines[-2] = re.sub(r'"game_time":[^,]+', '"game_time":1e999', lines[-2])
+        bad.write_text("\n".join(lines) + "\n")
+        store = tmp_path / "store"
+        assert run_cli("ingest", "--matches", str(raw), "--out", str(store)) == 0
+        assert "reject\tmatch_00002.jsonl\t" in capsys.readouterr().err
+        assert len(cli.read_store(store)) == 4
+        assert run_cli("extract", "--store", str(store), "--out", str(tmp_path / "data"),
+                       "--seed", "1", "--threads", "1") == 0
+
+    def test_store_text_is_the_validated_input(self, tmp_path):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        cfg = sy.SynthConfig(n_matches=2, n_frames=60, seed=8)
+        packed = [sy.generate_match(cfg, i) for i in range(2)]
+        md.save_match(packed[0], raw / "a.jsonl.gz")
+        # permuted heroes and spacing: valid, but not the canonical form
+        lines = md.write_match(packed[1]).decode().splitlines()
+        frame = json.loads(lines[1])
+        frame["heroes"].reverse()
+        lines[1] = json.dumps(frame)
+        text = ("\n".join(lines) + "\n").encode()
+        (raw / "b.jsonl").write_bytes(text)
+        store = tmp_path / "store"
+        assert run_cli("ingest", "--matches", str(raw), "--out", str(store)) == 0
+        assert (store / f"{packed[0].match_id}.jsonl").read_bytes() == md.write_match(packed[0])
+        assert (store / f"{packed[1].match_id}.jsonl").read_bytes() == text
+        for m in packed:
+            assert md.load_match(store / f"{m.match_id}.jsonl") == m
+            assert md.load_match(store / f"{m.match_id}.dmatch") == m
+
+    def test_rejects_binary_record_and_double_gzip(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        cfg = sy.SynthConfig(n_matches=3, n_frames=60, seed=8)
+        md.save_match(sy.generate_match(cfg, 0), raw / "good.jsonl")
+        (raw / "record.jsonl").write_bytes(md.encode_match(sy.generate_match(cfg, 1)))
+        (raw / "twice.jsonl.gz").write_bytes(
+            gzip.compress(gzip.compress(md.write_match(sy.generate_match(cfg, 2)))))
+        store = tmp_path / "store"
+        assert run_cli("ingest", "--matches", str(raw), "--out", str(store)) == 0
+        err = capsys.readouterr().err
+        assert "reject\trecord.jsonl\t" in err and "reject\ttwice.jsonl.gz\t" in err
+        assert len(cli.read_store(store)) == 1
 
     def test_all_rejected_is_data_error(self, tmp_path, capsys):
         raw = tmp_path / "raw"

@@ -1,5 +1,6 @@
 import gzip
 import json
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,23 @@ def minimal_lines(n_frames=1, deaths=()):
 
 def to_bytes(lines):
     return ("\n".join(lines) + "\n").encode()
+
+
+def edited(lines, index, edit):
+    """lines with line `index` decoded, changed in place by edit, re-encoded."""
+    index %= len(lines)
+    obj = json.loads(lines[index])
+    edit(obj)
+    return [*lines[:index], json.dumps(obj), *lines[index + 1:]]
+
+
+def permuted_lines(m, rng):
+    """m's file lines with the heroes of every frame listed in a seeded order."""
+    lines = md.write_match(m).decode().splitlines()
+    for i in range(1, len(lines) - 1):
+        lines[i] = edited(lines, i, lambda fr: fr.update(
+            heroes=[fr["heroes"][s] for s in rng.permutation(md.N_HEROES)]))[i]
+    return lines
 
 
 class TestParse:
@@ -109,6 +127,163 @@ class TestParse:
         m = random_match(rng)
         raw = md.write_match(m)
         assert md.parse_match(gzip.compress(raw)) == m
+
+    def test_permuted_heroes_over_several_blocks(self, rng):
+        m = random_match(rng, n_frames=2 * md._FRAME_BLOCK + 5, with_towers=True)
+        raw = to_bytes(permuted_lines(m, rng))
+        assert md.parse_match(raw) == m
+        assert md.parse_match(gzip.compress(raw)) == m
+
+    @pytest.mark.parametrize("index,edit", [
+        (1, lambda o: o.update(tick=2**70)),
+        (0, lambda o: o["hero_ids"].__setitem__(0, 2**40)),
+        (-1, lambda o: o.update(deaths=[{"slot": 300, "time": 0.0}])),
+        (1, lambda o: o["heroes"][0].update(health=10**400)),
+        (0, lambda o: o.update(tick_interval=10**400)),
+    ], ids=["tick", "header hero id", "death slot", "hero float", "tick_interval"])
+    def test_oversized_number_is_typed_error(self, index, edit):
+        with pytest.raises(SchemaViolation):
+            md.parse_match(to_bytes(edited(minimal_lines(1), index, edit)))
+
+    def test_infinite_game_time_rejected(self):
+        lines = minimal_lines(2)
+        lines[2] = re.sub(r'"game_time": [^,]+', '"game_time": 1e999', lines[2])
+        with pytest.raises(SchemaViolation, match="frame 1: non-finite game_time"):
+            md.parse_match(to_bytes(lines))
+
+    def test_broken_gzip_and_deep_nesting_are_malformed(self, rng):
+        packed = gzip.compress(md.write_match(random_match(rng)))
+        corrupt = bytearray(packed)
+        corrupt[len(packed) // 2] ^= 0xFF
+        head, _, deaths = minimal_lines(1)
+        deep = to_bytes([head, "[" * 100_000, deaths])
+        for bad in (packed[:len(packed) // 2], bytes(corrupt), deep):
+            with pytest.raises(MalformedRecord):
+                md.parse_match(bad)
+
+
+def _pick(rng, options):
+    return options[int(rng.integers(len(options)))]
+
+
+def _hero(fr, rng, having=None):
+    """A random hero of a decoded frame, optionally one whose `having` list
+    is not empty."""
+    return _pick(rng, [h for h in fr["heroes"] if having is None or h[having]])
+
+
+def _tower(fr, rng):
+    return _pick(rng, fr["towers"])
+
+
+def _duplicate_slot(fr, rng):
+    a, b = rng.choice(md.N_HEROES, size=2, replace=False)
+    fr["heroes"][a].update(slot=fr["heroes"][b]["slot"], hero_id=fr["heroes"][b]["hero_id"])
+
+
+def _move_tower(fr, rng):
+    tower = _tower(fr, rng)
+    if rng.random() < 0.5:
+        tower["team"] = 1 - tower["team"]
+    else:
+        tower[_pick(rng, ("x", "y"))] += 1.0
+
+
+_NUMBERS = ("health", "max_health", "mana", "max_mana", "pos_x", "pos_y")
+_FLAGS = ("alive", "visible_to_enemy")
+
+# (name, edit): each edit breaks exactly one field of a decoded frame line
+FRAME_CORRUPTIONS = [
+    ("bool tick", lambda fr, r: fr.update(tick=True)),
+    ("bool game_time", lambda fr, r: fr.update(game_time=False)),
+    ("bool hero number", lambda fr, r: _hero(fr, r).update({_pick(r, _NUMBERS): True})),
+    ("bool hero integer", lambda fr, r: _hero(fr, r).update({_pick(r, ("slot", "hero_id")): False})),
+    ("bool state attr", lambda fr, r: _hero(fr, r)["state_attrs"].__setitem__(
+        int(r.integers(md.N_STATE_ATTRS)), True)),
+    ("bool item id", lambda fr, r: _hero(fr, r, "items")["items"][0].__setitem__(0, True)),
+    ("bool cooldown", lambda fr, r: _hero(fr, r, "items")["items"][0].__setitem__(1, False)),
+    ("bool ability attr", lambda fr, r: _hero(fr, r, "abilities")["abilities"][0].__setitem__(
+        int(r.integers(md.N_ABILITY_ATTRS)), True)),
+    ("bool tower position", lambda fr, r: _tower(fr, r).update({_pick(r, ("x", "y")): True})),
+    ("number paused", lambda fr, r: fr.update(paused=0)),
+    ("number hero flag", lambda fr, r: _hero(fr, r).update({_pick(r, _FLAGS): _pick(r, (0, 1.0))})),
+    ("number tower alive", lambda fr, r: _tower(fr, r).update(alive=1)),
+    ("missing frame key", lambda fr, r: fr.pop(_pick(r, (*md._FRAME_FIELDS, "towers")))),
+    ("missing hero key", lambda fr, r: _hero(fr, r).pop(_pick(r, md._HERO_FIELDS))),
+    ("missing tower key", lambda fr, r: _tower(fr, r).pop(_pick(r, md._TOWER_FIELDS))),
+    ("extra frame key", lambda fr, r: fr.update(extra=0)),
+    ("extra hero key", lambda fr, r: _hero(fr, r).update(extra=0)),
+    ("extra tower key", lambda fr, r: _tower(fr, r).update(extra=0)),
+    ("long state_attrs", lambda fr, r: _hero(fr, r)["state_attrs"].append(0.0)),
+    ("short stat_attrs", lambda fr, r: _hero(fr, r)["stat_attrs"].pop()),
+    ("long ability", lambda fr, r: _hero(fr, r, "abilities")["abilities"][0].append(0.0)),
+    ("short ability", lambda fr, r: _hero(fr, r, "abilities")["abilities"][0].pop()),
+    ("too many abilities", lambda fr, r: _hero(fr, r).update(
+        abilities=[[0.0] * md.N_ABILITY_ATTRS] * (md.N_ABILITY_SLOTS + 1))),
+    ("item triple", lambda fr, r: _hero(fr, r, "items")["items"][0].append(0.0)),
+    ("nine heroes", lambda fr, r: fr["heroes"].pop(int(r.integers(md.N_HEROES)))),
+    ("eleven heroes", lambda fr, r: fr["heroes"].append(dict(fr["heroes"][0]))),
+    ("tower count", lambda fr, r: fr["towers"].pop()),
+    ("slot out of range", lambda fr, r: _hero(fr, r).update(slot=_pick(r, (10, -1, 2**70)))),
+    ("huge hero_id", lambda fr, r: _hero(fr, r).update(hero_id=_pick(r, (2**31, 2**64)))),
+    ("huge tick", lambda fr, r: fr.update(tick=_pick(r, (2**63, 2**70)))),
+    ("item id out of range", lambda fr, r: _hero(fr, r, "items")["items"][0].__setitem__(
+        0, _pick(r, (md.N_TRACKED_ITEMS, -1, 2**80)))),
+    ("tower team out of range", lambda fr, r: _tower(fr, r).update(team=_pick(r, (2, -1, 2**70)))),
+    ("number beyond float", lambda fr, r: _hero(fr, r).update({_pick(r, _NUMBERS): 10**400})),
+    ("duplicate slot", _duplicate_slot),
+    ("duplicate item", lambda fr, r: (lambda h: h["items"].append(list(h["items"][0])))(
+        _hero(fr, r, "items"))),
+    ("tower identity", _move_tower),
+]
+
+# (name, line index, edit) for the header and deaths lines
+EDGE_CORRUPTIONS = [
+    ("header bool tick_interval", 0, lambda o, r: o.update(tick_interval=True)),
+    ("header float roster_size", 0, lambda o, r: o.update(roster_size=130.0)),
+    ("header huge hero id", 0, lambda o, r: o["hero_ids"].__setitem__(0, 2**40)),
+    ("header bool hero id", 0, lambda o, r: o["hero_ids"].__setitem__(0, True)),
+    ("header eleven hero ids", 0, lambda o, r: o["hero_ids"].append(0)),
+    ("header missing key", 0, lambda o, r: o.pop(_pick(r, md._HEADER_FIELDS))),
+    ("header extra key", 0, lambda o, r: o.update(extra=0)),
+    ("death slot out of range", -1, lambda o, r: o["deaths"][0].update(slot=_pick(r, (10, 300)))),
+    ("death bool slot", -1, lambda o, r: o["deaths"][0].update(slot=True)),
+    ("death bool time", -1, lambda o, r: o["deaths"][0].update(time=False)),
+    ("death missing key", -1, lambda o, r: o["deaths"][0].pop(_pick(r, ("slot", "time")))),
+    ("death extra key", -1, lambda o, r: o["deaths"][0].update(extra=0)),
+]
+
+
+class TestParserMutations:
+    """Seeded single-field corruptions of one valid file with towers, items,
+    abilities and heroes out of slot order: every one is a typed error, and
+    one inside a frame names that frame."""
+
+    def test_every_corruption_is_a_typed_error(self, rng):
+        m = random_match(np.random.default_rng(20261101), n_frames=md._FRAME_BLOCK + 8,
+                         with_towers=True)
+        lines = permuted_lines(m, rng)
+        assert md.parse_match(to_bytes(lines)) == m
+        assert json.loads(lines[-1])["deaths"]
+        for line in lines[1:-1]:
+            heroes = json.loads(line)["heroes"]
+            assert any(h["items"] for h in heroes) and any(h["abilities"] for h in heroes)
+        n = m.n_frames
+        used = set()
+        for _ in range(300):
+            if rng.random() < 0.8:
+                name, edit = _pick(rng, FRAME_CORRUPTIONS)
+                low = md._FRAME_BLOCK if name == "tower identity" else 1
+                index = int(rng.integers(low, n)) + 1
+                expect = rf"frame {index - 1}\b"
+            else:
+                name, index, edit = _pick(rng, EDGE_CORRUPTIONS)
+                expect = None
+            used.add(name)
+            bad = to_bytes(edited(lines, index, lambda obj: edit(obj, rng)))
+            with pytest.raises(DeathcastError, match=expect):
+                md.parse_match(bad)
+        assert used == {c[0] for c in FRAME_CORRUPTIONS + EDGE_CORRUPTIONS}
 
 
 class TestRoundTrip:
