@@ -19,9 +19,8 @@ from .features import (FeatureSchema, FrameFeatures, HistoryState, Normalization
                        compute_norm_stats, dump_schema, extract_frame, extract_match,
                        feature_schema, fresh_history, merge_norm_stats, normalize,
                        normalize_array)
-from .match_data import (DeathEvent, HeroSnapshot, MatchRecord, TickFrame, Tower,
-                         ValidationReport, load_match, parse_match, save_match,
-                         strip_pauses, validate_match, write_match)
+from .match_data import (DeathEvent, MatchRecord, ValidationReport, load_match, parse_match,
+                         save_match, strip_pauses, validate_match, write_match)
 from .model import (AdamState, ForwardTrace, GradCheckReport, ModelConfig, ModelParams,
                     adam_step, default_config, forward, gradient_check, init_adam,
                     init_params, load_checkpoint, loss_and_grad, save_checkpoint,

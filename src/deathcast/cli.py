@@ -23,7 +23,7 @@ from .errors import DeathcastError, InsufficientPositives, SchemaViolation, Usag
 from .evaluation import (evaluate_test, export_timeline, save_eval_report,
                          save_timeline, save_ttd_distribution, time_to_death_distribution)
 from .model import ModelConfig, default_config, load_checkpoint
-from .util import ordered_map, write_atomic
+from .util import ordered_map, read_text, write_atomic, write_lines
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -55,7 +55,7 @@ _CASTS = {"schema": _variant, "window_seconds": float, "period_ticks": int,
 
 def _read_config_file(path):
     out = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in read_text(path, UsageError).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -162,7 +162,7 @@ def _read_store_manifest(store):
     """
     path = _store_manifest_path(store)
     roster, rows = None, []
-    for ln in path.read_text(encoding="utf-8").splitlines():
+    for ln in read_text(path, SchemaViolation).splitlines():
         fields = ln.split("\t")
         if len(fields) == 3:
             rows.append((fields[0], Path(store) / fields[1]))
@@ -223,8 +223,7 @@ def cmd_ingest(args, opt):
         lines.append(f"{m.match_id}\t{rel}\t{m.n_frames}")
     if not lines:
         raise SchemaViolation(f"every match under {src} was rejected")
-    text = "\n".join([f"roster_size\t{roster}", *lines]) + "\n"
-    write_atomic(_store_manifest_path(out), text.encode("utf-8"))
+    write_lines(_store_manifest_path(out), [f"roster_size\t{roster}", *lines])
     print(f"ingested {len(lines)} matches ({rejected} rejected) into {out}")
     return 0
 
@@ -310,7 +309,7 @@ def _eval_matches(args, manifest):
     """Pick the evaluation match set and enforce the split-leak guard."""
     store_rows = dict(read_store(args.store))
     if args.match_dir is not None:
-        matches = [md.load_match(p) for p in _match_files(args.match_dir)]
+        matches = [md.parse_match(p.read_bytes()) for p in _match_files(args.match_dir)]
         held = set(manifest.split.train) | set(manifest.split.val)
         leaked = [m.match_id for m in matches if m.match_id in held]
         if leaked:

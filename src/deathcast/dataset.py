@@ -21,7 +21,7 @@ from . import features as ft
 from . import match_data as md
 from .errors import (ChecksumMismatch, InsufficientPositives, NonPositiveWindow,
                      SchemaMismatch, SchemaViolation)
-from .util import hash64, ordered_map, seal, unseal
+from .util import hash64, ordered_map, seal, unseal, write_atomic, write_lines
 
 SHARD_CAPACITY = 4000
 SHARD_MAGIC = b"DSH1"
@@ -163,7 +163,7 @@ def write_shards(features, labels, match_keys, game_times, out_dir, variant, pre
         shard = Shard(variant=variant, features=features[chunk], labels=labels[chunk],
                       match_keys=match_keys[chunk], game_times=game_times[chunk])
         path = out_dir / f"{prefix}_{i // SHARD_CAPACITY:05d}.shard"
-        path.write_bytes(encode_shard(shard))
+        write_atomic(path, encode_shard(shard))
         paths.append(path)
     return paths
 
@@ -360,7 +360,7 @@ class DatasetManifest:
         for name in ("train", "val", "test"):
             for p in self.shard_paths.get(name, []):
                 lines.append(f"{name}\t{rel(p)}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines(path, lines)
 
     @classmethod
     def load(cls, path):

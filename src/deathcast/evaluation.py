@@ -21,7 +21,7 @@ from .dataset import downsample, label_frames
 from .errors import ConstantInput, LengthMismatch, NoPositives
 from .features import extract_match, normalize_array
 from .model import forward
-from .util import ordered_map
+from .util import ordered_map, write_lines
 
 
 @dataclass(frozen=True)
@@ -369,8 +369,7 @@ def save_eval_report(report: EvalReport, path):
     lines.append("[pr_curve]")
     for r, p in zip(report.curve.recall, report.curve.precision):
         lines.append(f"{float(r)!r}\t{float(p)!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def save_timeline(timeline: PredictionTimeline, path):
@@ -380,8 +379,7 @@ def save_timeline(timeline: PredictionTimeline, path):
         for s in range(md.N_HEROES):
             lines.append(f"{float(t)!r}\t{s}\t{float(timeline.probs[i, s])!r}"
                          f"\t{int(timeline.death_flags[i, s])}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def save_ttd_distribution(dist: TimeToDeathDistribution, path):
@@ -389,5 +387,4 @@ def save_ttd_distribution(dist: TimeToDeathDistribution, path):
     lines = []
     for b in dist.bins:
         lines.append(f"{b.label}\t{b.q25!r}\t{b.median!r}\t{b.q75!r}\t{b.count}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)

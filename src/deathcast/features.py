@@ -20,6 +20,7 @@ import numpy as np
 
 from . import match_data as md
 from .errors import EmptyStream, InvalidFrame, SchemaMismatch
+from .util import read_text, write_lines
 
 log = logging.getLogger(__name__)
 
@@ -534,13 +535,11 @@ def save_norm_stats(stats: NormalizationStats, path):
     lines = [f"schema\t{stats.schema.variant}\t{stats.schema.roster_size}"]
     for name, lo, hi in zip(stats.schema.names, stats.mins, stats.maxs):
         lines.append(f"{name}\t{float(lo)!r}\t{float(hi)!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def load_norm_stats(path) -> NormalizationStats:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path, SchemaMismatch)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     head = lines[0].split("\t") if lines else []
     if (len(head) != 3 or head[0] != "schema" or head[1] not in VARIANTS

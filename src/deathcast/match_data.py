@@ -4,8 +4,7 @@ A match is one header line, one JSON object per tick frame, and a final
 deaths line (see FORMAT below). Records are stored column-wise in numpy
 arrays so feature extraction can run vectorized over frames. `parse_match`
 fills those columns directly, checking each field across a block of frames
-at once; `TickFrame` and `HeroSnapshot` are object views, built only by
-`MatchRecord.frame()` and taken by `MatchRecord.from_frames`.
+at once. `_COLUMNS` declares every column's name, dtype and shape once.
 
 FORMAT (UTF-8 text, one JSON object per line, optionally gzip-compressed):
 
@@ -54,7 +53,6 @@ N_HEROES = 10
 TEAM_A_SLOTS = (0, 1, 2, 3, 4)
 TEAM_B_SLOTS = (5, 6, 7, 8, 9)
 
-DEFAULT_TICK_INTERVAL = 1.0 / 30.0
 DEFAULT_ROSTER_SIZE = 130
 GZIP_MAGIC = b"\x1f\x8b"
 
@@ -136,43 +134,6 @@ N_ABILITY_ATTRS = len(ABILITY_ATTR_NAMES)
 
 
 @dataclass(frozen=True)
-class HeroSnapshot:
-    """One hero's attributes at one tick (an object view, not the storage)."""
-
-    slot: int
-    hero_id: int
-    alive: bool
-    health: float
-    max_health: float
-    mana: float
-    max_mana: float
-    pos_x: float
-    pos_y: float
-    visible_to_enemy: bool
-    state_attrs: tuple
-    stat_attrs: tuple
-    items: tuple  # ((item_id, cooldown_remaining), ...) sorted by item_id
-    abilities: tuple  # up to 8 entries of 6 attributes each
-
-
-@dataclass(frozen=True)
-class Tower:
-    team: int
-    x: float
-    y: float
-    alive: bool
-
-
-@dataclass(frozen=True)
-class TickFrame:
-    tick: int
-    game_time: float
-    paused: bool
-    heroes: tuple  # exactly one HeroSnapshot per slot, slot order
-    towers: tuple | None = None
-
-
-@dataclass(frozen=True)
 class DeathEvent:
     slot: int
     time: float
@@ -204,45 +165,62 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
+# The record's columns, the one declaration of its layout: (attribute,
+# dtype, shape), where a string in a shape is a count ("frames", "towers",
+# "deaths"). This is also the store record's on-disk order: the 8-byte
+# columns come first so that every column after the 40-byte header starts
+# aligned.
+_COLUMNS = (
+    ("game_time", "<f8", ("frames",)),
+    ("health", "<f8", ("frames", N_HEROES)),
+    ("max_health", "<f8", ("frames", N_HEROES)),
+    ("mana", "<f8", ("frames", N_HEROES)),
+    ("max_mana", "<f8", ("frames", N_HEROES)),
+    ("pos", "<f8", ("frames", N_HEROES, 2)),
+    ("state", "<f8", ("frames", N_HEROES, N_STATE_ATTRS)),
+    ("stats", "<f8", ("frames", N_HEROES, N_STAT_ATTRS)),
+    ("item_cooldown", "<f8", ("frames", N_HEROES, N_TRACKED_ITEMS)),
+    ("abilities", "<f8", ("frames", N_HEROES, N_ABILITY_SLOTS, N_ABILITY_ATTRS)),
+    ("tower_pos", "<f8", ("towers", 2)),
+    ("death_time", "<f8", ("deaths",)),
+    ("tick", "<i8", ("frames",)),
+    ("hero_ids", "<i4", (N_HEROES,)),
+    ("paused", "|b1", ("frames",)),
+    ("alive", "|b1", ("frames", N_HEROES)),
+    ("visible", "|b1", ("frames", N_HEROES)),
+    ("item_owned", "|b1", ("frames", N_HEROES, N_TRACKED_ITEMS)),
+    ("ability_count", "|i1", ("frames", N_HEROES)),
+    ("tower_team", "|i1", ("towers",)),
+    ("tower_alive", "|b1", ("frames", "towers")),
+    ("death_slot", "|i1", ("deaths",)),
+)
+_COLUMN_DTYPES = {name: dtype for name, dtype, _ in _COLUMNS}
+# None in a match without a towers section
+_TOWER_COLUMNS = frozenset(name for name, _, shape in _COLUMNS if "towers" in shape)
+
+
 class MatchRecord:
     """One match: column-wise frame arrays plus exact death events.
 
+    The columns are those of `_COLUMNS`, each coerced to its dtype; the
+    tower columns are all None for a match without a towers section.
     Immutable by convention after construction; nothing in the package
     mutates a record in place, so instances are safe to share between
     threads.
     """
 
-    def __init__(self, match_id, tick_interval, roster_size, hero_ids,
-                 tick, game_time, paused,
-                 alive, health, max_health, mana, max_mana, pos, visible,
-                 state, stats, item_owned, item_cooldown, abilities, ability_count,
-                 tower_team, tower_pos, tower_alive,
-                 death_slot, death_time):
+    def __init__(self, match_id, tick_interval, roster_size, **columns):
+        if columns.keys() != _COLUMN_DTYPES.keys():
+            raise TypeError(f"MatchRecord wants the columns {list(_COLUMN_DTYPES)}, "
+                            f"got {list(columns)}")
         self.match_id = str(match_id)
         self.tick_interval = float(tick_interval)
         self.roster_size = int(roster_size)
-        self.hero_ids = np.asarray(hero_ids, dtype=np.int32)
-        self.tick = np.asarray(tick, dtype=np.int64)
-        self.game_time = np.asarray(game_time, dtype=np.float64)
-        self.paused = np.asarray(paused, dtype=bool)
-        self.alive = np.asarray(alive, dtype=bool)
-        self.health = np.asarray(health, dtype=np.float64)
-        self.max_health = np.asarray(max_health, dtype=np.float64)
-        self.mana = np.asarray(mana, dtype=np.float64)
-        self.max_mana = np.asarray(max_mana, dtype=np.float64)
-        self.pos = np.asarray(pos, dtype=np.float64)
-        self.visible = np.asarray(visible, dtype=bool)
-        self.state = np.asarray(state, dtype=np.float64)
-        self.stats = np.asarray(stats, dtype=np.float64)
-        self.item_owned = np.asarray(item_owned, dtype=bool)
-        self.item_cooldown = np.asarray(item_cooldown, dtype=np.float64)
-        self.abilities = np.asarray(abilities, dtype=np.float64)
-        self.ability_count = np.asarray(ability_count, dtype=np.int8)
-        self.tower_team = None if tower_team is None else np.asarray(tower_team, dtype=np.int8)
-        self.tower_pos = None if tower_pos is None else np.asarray(tower_pos, dtype=np.float64)
-        self.tower_alive = None if tower_alive is None else np.asarray(tower_alive, dtype=bool)
-        self.death_slot = np.asarray(death_slot, dtype=np.int8)
-        self.death_time = np.asarray(death_time, dtype=np.float64)
+        for name, dtype in _COLUMN_DTYPES.items():
+            value = columns[name]
+            if value is not None or name not in _TOWER_COLUMNS:
+                value = np.asarray(value, dtype=dtype)
+            setattr(self, name, value)
 
     @property
     def n_frames(self):
@@ -261,179 +239,30 @@ class MatchRecord:
         """Death times of one slot, in record order (chronological)."""
         return self.death_time[self.death_slot == slot]
 
-    def frame(self, i):
-        """Materialize frame i as a TickFrame of HeroSnapshots."""
-        n = self.n_frames
-        if not 0 <= i < n:
-            raise IndexError(f"frame index {i} out of range (0..{n - 1})")
-        heroes = []
-        for s in range(N_HEROES):
-            owned = np.flatnonzero(self.item_owned[i, s])
-            items = tuple((int(j), float(self.item_cooldown[i, s, j])) for j in owned)
-            k = int(self.ability_count[i, s])
-            abil = tuple(tuple(float(v) for v in self.abilities[i, s, a]) for a in range(k))
-            heroes.append(HeroSnapshot(
-                slot=s,
-                hero_id=int(self.hero_ids[s]),
-                alive=bool(self.alive[i, s]),
-                health=float(self.health[i, s]),
-                max_health=float(self.max_health[i, s]),
-                mana=float(self.mana[i, s]),
-                max_mana=float(self.max_mana[i, s]),
-                pos_x=float(self.pos[i, s, 0]),
-                pos_y=float(self.pos[i, s, 1]),
-                visible_to_enemy=bool(self.visible[i, s]),
-                state_attrs=tuple(float(v) for v in self.state[i, s]),
-                stat_attrs=tuple(float(v) for v in self.stats[i, s]),
-                items=items,
-                abilities=abil,
-            ))
-        towers = None
-        if self.has_towers:
-            towers = tuple(Tower(int(t), float(p[0]), float(p[1]), bool(a))
-                           for t, p, a in zip(self.tower_team, self.tower_pos, self.tower_alive[i]))
-        return TickFrame(tick=int(self.tick[i]), game_time=float(self.game_time[i]),
-                         paused=bool(self.paused[i]), heroes=tuple(heroes), towers=towers)
+    def replace(self, **fields):
+        """A copy with the named columns (or header fields) swapped; the
+        other columns are shared, not copied."""
+        kept = {name: getattr(self, name)
+                for name in ("match_id", "tick_interval", "roster_size", *_COLUMN_DTYPES)}
+        return MatchRecord(**{**kept, **fields})
 
     def __eq__(self, other):
         if not isinstance(other, MatchRecord):
             return NotImplemented
-        if (self.match_id, self.tick_interval, self.roster_size) != \
-           (other.match_id, other.tick_interval, other.roster_size):
-            return False
-        if self.has_towers != other.has_towers:
-            return False
-        pairs = [
-            (self.hero_ids, other.hero_ids), (self.tick, other.tick),
-            (self.game_time, other.game_time), (self.paused, other.paused),
-            (self.alive, other.alive), (self.health, other.health),
-            (self.max_health, other.max_health), (self.mana, other.mana),
-            (self.max_mana, other.max_mana), (self.pos, other.pos),
-            (self.visible, other.visible), (self.state, other.state),
-            (self.stats, other.stats), (self.item_owned, other.item_owned),
-            (self.item_cooldown, other.item_cooldown), (self.abilities, other.abilities),
-            (self.ability_count, other.ability_count),
-            (self.death_slot, other.death_slot), (self.death_time, other.death_time),
-        ]
-        if self.has_towers:
-            pairs += [(self.tower_team, other.tower_team), (self.tower_pos, other.tower_pos),
-                      (self.tower_alive, other.tower_alive)]
-        return all(np.array_equal(a, b) for a, b in pairs)
+        # array_equal counts two absent (None) tower columns equal
+        return ((self.match_id, self.tick_interval, self.roster_size)
+                == (other.match_id, other.tick_interval, other.roster_size)
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in _COLUMN_DTYPES))
 
     __hash__ = None
 
-    @classmethod
-    def from_frames(cls, match_id, frames, deaths=(),
-                    tick_interval=DEFAULT_TICK_INTERVAL, roster_size=DEFAULT_ROSTER_SIZE):
-        """Build the column store from TickFrame objects (test/demo path)."""
-        frames = list(frames)
-        if not frames:
-            raise EmptyMatch(f"match {match_id}: zero frames")
-        n = len(frames)
-        cols = _empty_columns(n)
-        hero_ids = None
-        towers0 = frames[0].towers
-        has_towers = towers0 is not None
-        tower_team = tower_pos = tower_alive = None
-        if has_towers:
-            tower_team = np.array([t.team for t in towers0], dtype=np.int8)
-            tower_pos = np.array([[t.x, t.y] for t in towers0], dtype=np.float64)
-            tower_alive = np.zeros((n, len(towers0)), dtype=bool)
-        for i, fr in enumerate(frames):
-            if len(fr.heroes) != N_HEROES:
-                raise SchemaViolation(f"frame {i}: expected {N_HEROES} heroes, got {len(fr.heroes)}")
-            slots = sorted(h.slot for h in fr.heroes)
-            if slots != list(range(N_HEROES)):
-                raise SchemaViolation(f"frame {i}: hero slots are not a permutation of 0..9")
-            if (fr.towers is not None) != has_towers:
-                raise SchemaViolation(f"frame {i}: towers section must be present in all frames or none")
-            cols["tick"][i] = fr.tick
-            cols["game_time"][i] = fr.game_time
-            cols["paused"][i] = fr.paused
-            ids = np.zeros(N_HEROES, dtype=np.int32)
-            for h in fr.heroes:
-                _fill_hero(cols, i, h, ids)
-            if hero_ids is None:
-                hero_ids = ids
-            elif not np.array_equal(hero_ids, ids):
-                raise SchemaViolation(f"frame {i}: hero_id changed for a slot mid-match")
-            if has_towers:
-                if len(fr.towers) != len(towers0):
-                    raise SchemaViolation(f"frame {i}: tower count changed mid-match")
-                for j, tw in enumerate(fr.towers):
-                    if tw.team != int(tower_team[j]) or (tw.x, tw.y) != (float(tower_pos[j, 0]), float(tower_pos[j, 1])):
-                        raise SchemaViolation(f"frame {i}: tower {j} identity changed mid-match")
-                    tower_alive[i, j] = tw.alive
-        deaths = list(deaths)
-        return cls(
-            match_id=match_id, tick_interval=tick_interval, roster_size=roster_size,
-            hero_ids=hero_ids,
-            tick=cols["tick"], game_time=cols["game_time"], paused=cols["paused"],
-            alive=cols["alive"], health=cols["health"], max_health=cols["max_health"],
-            mana=cols["mana"], max_mana=cols["max_mana"], pos=cols["pos"], visible=cols["visible"],
-            state=cols["state"], stats=cols["stats"],
-            item_owned=cols["item_owned"], item_cooldown=cols["item_cooldown"],
-            abilities=cols["abilities"], ability_count=cols["ability_count"],
-            tower_team=tower_team, tower_pos=tower_pos, tower_alive=tower_alive,
-            death_slot=np.array([d.slot for d in deaths], dtype=np.int8),
-            death_time=np.array([d.time for d in deaths], dtype=np.float64),
-        )
-
 
 def _empty_columns(n):
-    return {
-        "tick": np.zeros(n, dtype=np.int64),
-        "game_time": np.zeros(n, dtype=np.float64),
-        "paused": np.zeros(n, dtype=bool),
-        "alive": np.zeros((n, N_HEROES), dtype=bool),
-        "health": np.zeros((n, N_HEROES), dtype=np.float64),
-        "max_health": np.zeros((n, N_HEROES), dtype=np.float64),
-        "mana": np.zeros((n, N_HEROES), dtype=np.float64),
-        "max_mana": np.zeros((n, N_HEROES), dtype=np.float64),
-        "pos": np.zeros((n, N_HEROES, 2), dtype=np.float64),
-        "visible": np.zeros((n, N_HEROES), dtype=bool),
-        "state": np.zeros((n, N_HEROES, N_STATE_ATTRS), dtype=np.float64),
-        "stats": np.zeros((n, N_HEROES, N_STAT_ATTRS), dtype=np.float64),
-        "item_owned": np.zeros((n, N_HEROES, N_TRACKED_ITEMS), dtype=bool),
-        "item_cooldown": np.zeros((n, N_HEROES, N_TRACKED_ITEMS), dtype=np.float64),
-        "abilities": np.zeros((n, N_HEROES, N_ABILITY_SLOTS, N_ABILITY_ATTRS), dtype=np.float64),
-        "ability_count": np.zeros((n, N_HEROES), dtype=np.int8),
-    }
-
-
-def _fill_hero(cols, i, h, ids):
-    s = h.slot
-    ids[s] = h.hero_id
-    cols["alive"][i, s] = h.alive
-    cols["health"][i, s] = h.health
-    cols["max_health"][i, s] = h.max_health
-    cols["mana"][i, s] = h.mana
-    cols["max_mana"][i, s] = h.max_mana
-    cols["pos"][i, s, 0] = h.pos_x
-    cols["pos"][i, s, 1] = h.pos_y
-    cols["visible"][i, s] = h.visible_to_enemy
-    if len(h.state_attrs) != N_STATE_ATTRS:
-        raise SchemaViolation(f"frame {i}: slot {s}: state_attrs must have {N_STATE_ATTRS} entries")
-    if len(h.stat_attrs) != N_STAT_ATTRS:
-        raise SchemaViolation(f"frame {i}: slot {s}: stat_attrs must have {N_STAT_ATTRS} entries")
-    cols["state"][i, s] = h.state_attrs
-    cols["stats"][i, s] = h.stat_attrs
-    seen = set()
-    for item_id, cd in h.items:
-        if not 0 <= item_id < N_TRACKED_ITEMS:
-            raise SchemaViolation(f"frame {i}: slot {s}: unknown item id {item_id}")
-        if item_id in seen:
-            raise SchemaViolation(f"frame {i}: slot {s}: duplicate item id {item_id}")
-        seen.add(item_id)
-        cols["item_owned"][i, s, item_id] = True
-        cols["item_cooldown"][i, s, item_id] = cd
-    if len(h.abilities) > N_ABILITY_SLOTS:
-        raise SchemaViolation(f"frame {i}: slot {s}: more than {N_ABILITY_SLOTS} abilities")
-    cols["ability_count"][i, s] = len(h.abilities)
-    for a, attrs in enumerate(h.abilities):
-        if len(attrs) != N_ABILITY_ATTRS:
-            raise SchemaViolation(f"frame {i}: slot {s}: ability {a} must have {N_ABILITY_ATTRS} attributes")
-        cols["abilities"][i, s, a] = attrs
+    """Zeroed per-frame columns for n frames; tower_alive is left out, its
+    width is the tower count."""
+    return {name: np.zeros((n, *shape[1:]), dtype) for name, dtype, shape in _COLUMNS
+            if shape[0] == "frames" and name not in _TOWER_COLUMNS}
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +431,7 @@ def parse_match(source) -> MatchRecord:
     if n == 0:
         raise EmptyMatch(f"match {match_id}: zero frames")
     cols = _empty_columns(n)
-    cols.update(tower_team=None, tower_pos=None, tower_alive=None)
+    cols.update(dict.fromkeys(_TOWER_COLUMNS))
     for start in range(0, n, _FRAME_BLOCK):
         block = [_loads(ln, no) for no, ln in frame_lines[start:start + _FRAME_BLOCK]]
         _parse_frames(cols, start, block, hero_ids)
@@ -826,34 +655,6 @@ MATCH_VERSION = 1
 # roster_size, tick_interval
 _HEADER = struct.Struct("<4sHBBIIIIqd")
 
-# (attribute, dtype, shape): a string in a shape is a header count. The
-# 8-byte columns come first so that every column after the 40-byte header
-# starts aligned.
-_COLUMNS = (
-    ("game_time", "<f8", ("frames",)),
-    ("health", "<f8", ("frames", N_HEROES)),
-    ("max_health", "<f8", ("frames", N_HEROES)),
-    ("mana", "<f8", ("frames", N_HEROES)),
-    ("max_mana", "<f8", ("frames", N_HEROES)),
-    ("pos", "<f8", ("frames", N_HEROES, 2)),
-    ("state", "<f8", ("frames", N_HEROES, N_STATE_ATTRS)),
-    ("stats", "<f8", ("frames", N_HEROES, N_STAT_ATTRS)),
-    ("item_cooldown", "<f8", ("frames", N_HEROES, N_TRACKED_ITEMS)),
-    ("abilities", "<f8", ("frames", N_HEROES, N_ABILITY_SLOTS, N_ABILITY_ATTRS)),
-    ("tower_pos", "<f8", ("towers", 2)),
-    ("death_time", "<f8", ("deaths",)),
-    ("tick", "<i8", ("frames",)),
-    ("hero_ids", "<i4", (N_HEROES,)),
-    ("paused", "|b1", ("frames",)),
-    ("alive", "|b1", ("frames", N_HEROES)),
-    ("visible", "|b1", ("frames", N_HEROES)),
-    ("item_owned", "|b1", ("frames", N_HEROES, N_TRACKED_ITEMS)),
-    ("ability_count", "|i1", ("frames", N_HEROES)),
-    ("tower_team", "|i1", ("towers",)),
-    ("tower_alive", "|b1", ("frames", "towers")),
-    ("death_slot", "|i1", ("deaths",)),
-)
-
 
 def encode_match(m: MatchRecord) -> bytes:
     """The match as a sealed store record; decode_match inverts it exactly."""
@@ -884,12 +685,12 @@ def decode_match(blob) -> MatchRecord:
     if pad != 0 or has_towers > 1 or (counts["towers"] and not has_towers):
         raise ChecksumMismatch(f"match record header flags {has_towers}/{pad} are corrupt")
     layout = [(name, np.dtype(dtype), tuple(counts.get(d, d) for d in shape))
-              for name, dtype, shape in _COLUMNS if has_towers or not name.startswith("tower")]
+              for name, dtype, shape in _COLUMNS if has_towers or name not in _TOWER_COLUMNS]
     expected = _HEADER.size + id_len + sum(math.prod(shape) * dtype.itemsize
                                            for _, dtype, shape in layout)
     if len(framed) != expected:
         raise ChecksumMismatch(f"match record body is {len(framed)} bytes, expected {expected}")
-    cols = dict.fromkeys(("tower_team", "tower_pos", "tower_alive"))
+    cols = dict.fromkeys(_TOWER_COLUMNS)
     at = _HEADER.size
     for name, dtype, shape in layout:
         cols[name] = np.frombuffer(framed, dtype, math.prod(shape), at).reshape(shape)
@@ -940,19 +741,8 @@ def strip_pauses(m: MatchRecord) -> MatchRecord:
         raise EmptyMatch(f"match {m.match_id}: all frames paused")
     if keep.all():
         return m
-    return MatchRecord(
-        match_id=m.match_id, tick_interval=m.tick_interval, roster_size=m.roster_size,
-        hero_ids=m.hero_ids,
-        tick=m.tick[keep], game_time=m.game_time[keep], paused=m.paused[keep],
-        alive=m.alive[keep], health=m.health[keep], max_health=m.max_health[keep],
-        mana=m.mana[keep], max_mana=m.max_mana[keep], pos=m.pos[keep], visible=m.visible[keep],
-        state=m.state[keep], stats=m.stats[keep],
-        item_owned=m.item_owned[keep], item_cooldown=m.item_cooldown[keep],
-        abilities=m.abilities[keep], ability_count=m.ability_count[keep],
-        tower_team=m.tower_team, tower_pos=m.tower_pos,
-        tower_alive=None if m.tower_alive is None else m.tower_alive[keep],
-        death_slot=m.death_slot, death_time=m.death_time,
-    )
+    return m.replace(**{name: getattr(m, name)[keep] for name, _, shape in _COLUMNS
+                        if shape[0] == "frames" and getattr(m, name) is not None})
 
 
 def validate_match(m: MatchRecord) -> ValidationReport:

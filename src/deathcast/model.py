@@ -19,7 +19,7 @@ from . import features as ft
 from .errors import (ChecksumMismatch, InvalidArchitecture, NonFiniteGradient,
                      ShapeMismatch, VersionMismatch)
 from .match_data import N_HEROES
-from .util import seal, unseal
+from .util import seal, unseal, write_atomic
 
 # Tuned per-variant defaults for full-scale corpora (batch 128, Adam).
 DEFAULT_HYPERPARAMS = {
@@ -473,8 +473,7 @@ def decode_checkpoint(blob: bytes, expect_variant=None):
 
 def save_checkpoint(params: ModelParams, stats: ft.NormalizationStats, path, step=0):
     """Self-contained checkpoint: config, schema variant, stats, weights."""
-    with open(path, "wb") as fh:
-        fh.write(encode_checkpoint(params, stats, step))
+    write_atomic(path, encode_checkpoint(params, stats, step))
 
 
 def load_checkpoint(path, expect_variant=None):

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -43,7 +42,7 @@ from . import match_data as md
 from .dataset import downsample, label_frames
 from .errors import ForeignMatch, InvalidConfig, SchemaViolation
 from .evaluation import average_precision, pr_curve
-from .util import spawn_rngs
+from .util import spawn_rngs, write_lines
 
 _TEAM_OF_SLOT = np.array([0] * 5 + [1] * 5, dtype=np.int8)
 LIVE_HEALTH_FLOOR = 1.0  # an alive hero never displays 0 health
@@ -130,7 +129,7 @@ def generator_hash(cfg: SynthConfig) -> str:
 def save_synth_sidecar(cfg: SynthConfig, path):
     lines = [f"generator_hash\t{generator_hash(cfg)}"]
     lines += [f"{f.name}\t{getattr(cfg, f.name)!r}" for f in fields(cfg)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
 
 
 def _respawn_prob(cfg, dt):

@@ -19,6 +19,7 @@ from .errors import SchemaViolation
 from .evaluation import average_precision, pr_curve, predict_probs
 from .model import (ModelConfig, adam_step, init_adam, init_params, loss_and_grad,
                     save_checkpoint)
+from .util import write_lines
 
 
 @dataclass
@@ -106,8 +107,7 @@ def train(cfg: TrainRunConfig, train_pool: ShardPool, val_pool: ShardPool,
 
 def save_metrics_log(history, path):
     lines = [f"{step}\t{float(loss)!r}\t{float(ap)!r}" for step, loss, ap in history]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+    write_lines(path, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -193,5 +193,4 @@ def save_trial_table(result: SearchResult, path):
         c = t.config
         lines.append(f"{t.index}\t{t.val_ap!r}\t{t.n_params}\t{c.learning_rate!r}"
                      f"\t{c.batch_size}\t{list(c.shared_layers)}\t{list(c.final_layers)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)

@@ -1,11 +1,12 @@
 """Small shared helpers: stable hashing, binary framing, atomic writes,
-deterministic parallel map."""
+text reads, deterministic parallel map."""
 
 from __future__ import annotations
 
 import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 
@@ -59,6 +60,20 @@ def write_atomic(path, data):
     with open(tmp, "wb") as f:
         f.write(data)
     os.replace(tmp, path)
+
+
+def write_lines(path, lines):
+    """Text lines, each ended by a newline, written as UTF-8 by write_atomic."""
+    write_atomic(path, "".join(line + "\n" for line in lines).encode("utf-8"))
+
+
+def read_text(path, error):
+    """A UTF-8 text file's contents; bytes that are not UTF-8 raise error,
+    a DeathcastError subclass, naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not valid UTF-8 at byte {exc.start}") from None
 
 
 def spawn_rngs(seed, n):

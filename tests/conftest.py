@@ -6,29 +6,26 @@ import pytest
 from deathcast import match_data as md
 
 
-def random_hero(rng, slot, hero_id, roster_size=130):
-    max_health = float(rng.uniform(500, 1500))
-    max_mana = float(rng.uniform(200, 600))
+def _fill_random_hero(rng, cols, i, s):
+    """Draw hero s of frame i into the columns."""
+    max_health = rng.uniform(500, 1500)
+    max_mana = rng.uniform(200, 600)
     n_items = int(rng.integers(0, 5))
-    item_ids = rng.choice(md.N_TRACKED_ITEMS, size=n_items, replace=False)
+    item_ids = np.sort(rng.choice(md.N_TRACKED_ITEMS, size=n_items, replace=False))
     n_abil = int(rng.integers(0, md.N_ABILITY_SLOTS + 1))
-    return md.HeroSnapshot(
-        slot=slot,
-        hero_id=hero_id,
-        alive=bool(rng.random() > 0.1),
-        health=float(rng.uniform(0, max_health)),
-        max_health=max_health,
-        mana=float(rng.uniform(0, max_mana)),
-        max_mana=max_mana,
-        pos_x=float(rng.uniform(0, 200)),
-        pos_y=float(rng.uniform(0, 200)),
-        visible_to_enemy=bool(rng.random() > 0.5),
-        state_attrs=tuple(float(v) for v in rng.uniform(0, 50, md.N_STATE_ATTRS)),
-        stat_attrs=tuple(float(v) for v in rng.uniform(0, 50, md.N_STAT_ATTRS)),
-        items=tuple((int(i), float(rng.uniform(0, 90))) for i in sorted(item_ids)),
-        abilities=tuple(tuple(float(v) for v in rng.uniform(0, 10, md.N_ABILITY_ATTRS))
-                        for _ in range(n_abil)),
-    )
+    cols["alive"][i, s] = rng.random() > 0.1
+    cols["health"][i, s] = rng.uniform(0, max_health)
+    cols["max_health"][i, s] = max_health
+    cols["mana"][i, s] = rng.uniform(0, max_mana)
+    cols["max_mana"][i, s] = max_mana
+    cols["pos"][i, s] = rng.uniform(0, 200, 2)
+    cols["visible"][i, s] = rng.random() > 0.5
+    cols["state"][i, s] = rng.uniform(0, 50, md.N_STATE_ATTRS)
+    cols["stats"][i, s] = rng.uniform(0, 50, md.N_STAT_ATTRS)
+    cols["item_owned"][i, s, item_ids] = True
+    cols["item_cooldown"][i, s, item_ids] = rng.uniform(0, 90, n_items)
+    cols["ability_count"][i, s] = n_abil
+    cols["abilities"][i, s, :n_abil] = rng.uniform(0, 10, (n_abil, md.N_ABILITY_ATTRS))
 
 
 def random_match(rng, n_frames=None, with_towers=None, with_pauses=False,
@@ -38,41 +35,38 @@ def random_match(rng, n_frames=None, with_towers=None, with_pauses=False,
     with_towers = bool(rng.random() > 0.5) if with_towers is None else with_towers
     hero_ids = rng.choice(roster_size, size=md.N_HEROES, replace=False)
     tick_interval = 1.0 / 30.0
-    towers_base = None
+    cols = md._empty_columns(n_frames)
+    cols.update(tower_team=None, tower_pos=None, tower_alive=None)
     if with_towers:
         n_t = int(rng.integers(1, 5))
-        towers_base = [(int(rng.integers(0, 2)), float(rng.uniform(0, 200)),
-                        float(rng.uniform(0, 200))) for _ in range(n_t)]
-    frames = []
+        towers = [(rng.integers(0, 2), rng.uniform(0, 200), rng.uniform(0, 200))
+                  for _ in range(n_t)]
+        cols["tower_team"] = [team for team, _, _ in towers]
+        cols["tower_pos"] = [[x, y] for _, x, y in towers]
+        cols["tower_alive"] = np.zeros((n_frames, n_t), dtype=bool)
     t = 0.0
     for i in range(n_frames):
         paused = with_pauses and bool(rng.random() < 0.25) and 0 < i < n_frames - 1
-        towers = None
+        cols["tick"][i], cols["game_time"][i], cols["paused"][i] = i, t, paused
         if with_towers:
-            towers = tuple(md.Tower(team, x, y, bool(rng.random() > 0.3))
-                           for team, x, y in towers_base)
-        frames.append(md.TickFrame(
-            tick=i,
-            game_time=t,
-            paused=paused,
-            heroes=tuple(random_hero(rng, s, int(hero_ids[s]), roster_size)
-                         for s in range(md.N_HEROES)),
-            towers=towers,
-        ))
+            cols["tower_alive"][i] = rng.random(n_t) > 0.3
+        for s in range(md.N_HEROES):
+            _fill_random_hero(rng, cols, i, s)
         if not paused:
             t += tick_interval
     deaths = []
-    t_last = frames[-1].game_time
+    t_last = float(cols["game_time"][-1])
     for s in range(md.N_HEROES):
-        times = np.sort(rng.uniform(0, max(t_last, 1e-6), size=int(rng.integers(0, 3))))
-        # strictly increasing per slot
-        times = np.unique(times)
-        deaths.extend(md.DeathEvent(s, float(x)) for x in times if 0 <= x <= t_last)
-    deaths.sort(key=lambda d: (d.time, d.slot))
+        # unique: strictly increasing per slot
+        times = np.unique(rng.uniform(0, max(t_last, 1e-6), size=int(rng.integers(0, 3))))
+        deaths.extend((float(x), s) for x in times if 0 <= x <= t_last)
+    deaths.sort()
     if match_id is None:
         match_id = f"rand-{rng.integers(1 << 30)}"
-    return md.MatchRecord.from_frames(match_id, frames, deaths,
-                                      tick_interval=tick_interval, roster_size=roster_size)
+    return md.MatchRecord(match_id=match_id, tick_interval=tick_interval,
+                          roster_size=roster_size, hero_ids=hero_ids,
+                          death_slot=[s for _, s in deaths], death_time=[x for x, _ in deaths],
+                          **cols)
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import gzip
 import json
 import re
+import shutil
 import subprocess
 import sys
 
@@ -143,6 +144,48 @@ class TestPipeline:
                        "--data", str(data), "--store", str(store),
                        "--report", str(stored)) == 0
         assert report.read_bytes() == stored.read_bytes()
+
+    def test_eval_match_dir_takes_match_text_only(self, pipeline_dirs, tmp_path, capsys):
+        root, raw, store, data, run = pipeline_dirs
+        from deathcast.dataset import DatasetManifest
+        test_id = DatasetManifest.load(data / "manifest.tsv").split.test[0]
+        match_dir = tmp_path / "matches"
+        match_dir.mkdir()
+        (match_dir / "x.jsonl").write_bytes((store / f"{test_id}.dmatch").read_bytes())
+        assert run_cli("eval", "--checkpoint", str(run / "checkpoint.dckpt"),
+                       "--data", str(data), "--store", str(store),
+                       "--match-dir", str(match_dir),
+                       "--report", str(tmp_path / "r.tsv")) == cli.EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error\tkind=MalformedRecord\texit=3\t")
+        assert not (tmp_path / "r.tsv").exists()
+
+    @pytest.mark.parametrize("target,kind,code", [("config", "UsageError", 2),
+                                                  ("store_manifest", "SchemaViolation", 3),
+                                                  ("norm_stats", "SchemaMismatch", 3)])
+    def test_text_input_not_utf8_is_typed_error(self, pipeline_dirs, tmp_path, capsys,
+                                                target, kind, code):
+        root, raw, store, data, run = pipeline_dirs
+        if target == "config":
+            bad = tmp_path / "opts.conf"
+            bad.write_bytes(b"\xffschema=full\n")
+            argv = ["schema-dump", "--config", str(bad)]
+        elif target == "store_manifest":
+            (tmp_path / "store").mkdir()
+            bad = shutil.copy(store / "store_manifest.tsv", tmp_path / "store")
+            argv = ["extract", "--store", str(tmp_path / "store"), "--out", str(tmp_path / "d")]
+        else:
+            shutil.copytree(data, tmp_path / "data")
+            bad = tmp_path / "data" / "norm_stats.tsv"
+            argv = ["train", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "run"),
+                    "--steps", "2", "--val-interval", "1"]
+        if target != "config":
+            with open(bad, "ab") as fh:
+                fh.write(b"\xff")
+        assert run_cli(*argv) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error\tkind={kind}\texit={code}\t")
+        assert "UTF-8" in err[0]
 
     def test_store_from_before_binary_records_still_works(self, pipeline_dirs, tmp_path):
         """A store whose manifest names .jsonl files and no roster (the

@@ -1,9 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 
 from deathcast import dataset as ds
 from deathcast import features as ft
 from deathcast import match_data as md
+from deathcast import model as mo
 from deathcast import synth as sy
 from deathcast.errors import (ChecksumMismatch, DeathcastError, InsufficientPositives,
                               NonPositiveWindow, SchemaMismatch, SchemaViolation)
@@ -68,15 +71,7 @@ class TestLabels:
 
 
 def _with_deaths(m, deaths):
-    return md.MatchRecord(
-        match_id=m.match_id, tick_interval=m.tick_interval, roster_size=m.roster_size,
-        hero_ids=m.hero_ids, tick=m.tick, game_time=m.game_time, paused=m.paused,
-        alive=m.alive, health=m.health, max_health=m.max_health, mana=m.mana,
-        max_mana=m.max_mana, pos=m.pos, visible=m.visible, state=m.state, stats=m.stats,
-        item_owned=m.item_owned, item_cooldown=m.item_cooldown, abilities=m.abilities,
-        ability_count=m.ability_count, tower_team=m.tower_team, tower_pos=m.tower_pos,
-        tower_alive=m.tower_alive,
-        death_slot=[s for s, _ in deaths], death_time=[t for _, t in deaths])
+    return m.replace(death_slot=[s for s, _ in deaths], death_time=[t for _, t in deaths])
 
 
 class TestDownsample:
@@ -169,6 +164,26 @@ class TestShards:
         (path,) = ds.write_shards(*make_columns(rng, 5), tmp_path, "minimal")
         with pytest.raises(SchemaMismatch):
             ds.read_shard(path, expect_variant="full")
+
+    def test_failed_write_keeps_existing_shard_and_checkpoint(self, rng, tmp_path, monkeypatch):
+        (shard,) = ds.write_shards(*make_columns(rng, 10), tmp_path, "minimal")
+        cfg = mo.small_check_config()
+        schema = ft.feature_schema("minimal")
+        stats = ft.NormalizationStats(schema, mins=np.zeros(schema.per_hero_count),
+                                      maxs=np.ones(schema.per_hero_count))
+        checkpoint = tmp_path / "c.dckpt"
+        mo.save_checkpoint(mo.init_params(cfg, rng), stats, checkpoint)
+        before = {p: p.read_bytes() for p in (shard, checkpoint)}
+
+        def refuse(src, dst):
+            raise OSError(f"refusing to rename {src}")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="refusing"):
+            ds.write_shards(*make_columns(rng, 10), tmp_path, "minimal")
+        with pytest.raises(OSError, match="refusing"):
+            mo.save_checkpoint(mo.init_params(cfg, rng), stats, checkpoint, step=1)
+        assert {p: p.read_bytes() for p in before} == before
 
     def test_resealed_header_mutations_raise_typed_errors(self, rng):
         blob = ds.encode_shard(make_shard(rng, "medium", 20))

@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -101,16 +100,8 @@ class TestExtract:
 
     def test_empty_tower_list_gives_zeros(self, rng):
         m = random_match(rng, n_frames=2, with_towers=False)
-        m2 = md.MatchRecord(
-            match_id=m.match_id, tick_interval=m.tick_interval, roster_size=m.roster_size,
-            hero_ids=m.hero_ids, tick=m.tick, game_time=m.game_time, paused=m.paused,
-            alive=m.alive, health=m.health, max_health=m.max_health, mana=m.mana,
-            max_mana=m.max_mana, pos=m.pos, visible=m.visible, state=m.state, stats=m.stats,
-            item_owned=m.item_owned, item_cooldown=m.item_cooldown, abilities=m.abilities,
-            ability_count=m.ability_count,
-            tower_team=np.zeros(0, dtype=np.int8), tower_pos=np.zeros((0, 2)),
-            tower_alive=np.zeros((2, 0), dtype=bool),
-            death_slot=m.death_slot, death_time=m.death_time)
+        m2 = m.replace(tower_team=np.zeros(0, dtype=np.int8), tower_pos=np.zeros((0, 2)),
+                       tower_alive=np.zeros((2, 0), dtype=bool))
         schema = ft.feature_schema("minimal")
         f, _ = ft.extract_frame(m2, 0, schema, ft.fresh_history())
         assert (f.per_hero[:, schema.index_of("ally_tower_proximity")] == 0).all()
@@ -144,13 +135,11 @@ class TestSlotPermutation:
         f, _ = ft.extract_frame(m, 0, schema, ft.fresh_history())
 
         perm = np.r_[rng.permutation(5), 5 + rng.permutation(5)]
-        frame = m.frame(0)
-        permuted = []
-        for new_slot in range(10):
-            h = frame.heroes[perm[new_slot]]
-            permuted.append(dataclasses.replace(h, slot=new_slot))
-        m2 = md.MatchRecord.from_frames("perm", [dataclasses.replace(frame, heroes=tuple(permuted))],
-                                        tick_interval=m.tick_interval, roster_size=m.roster_size)
+        # new slot k holds the hero of old slot perm[k]
+        hero_columns = {name: getattr(m, name)[:, perm] for name, _, shape in md._COLUMNS
+                        if shape[:2] == ("frames", md.N_HEROES)}
+        m2 = m.replace(match_id="perm", hero_ids=m.hero_ids[perm],
+                       death_slot=np.argsort(perm)[m.death_slot], **hero_columns)
         f2, _ = ft.extract_frame(m2, 0, schema, ft.fresh_history())
         assert np.array_equal(f2.per_hero, f.per_hero[perm])
 

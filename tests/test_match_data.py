@@ -301,16 +301,17 @@ class TestRoundTrip:
 
     def test_no_deaths_gives_empty_deaths_section(self, rng):
         m = random_match(rng)
-        m2 = md.MatchRecord(
-            match_id=m.match_id, tick_interval=m.tick_interval, roster_size=m.roster_size,
-            hero_ids=m.hero_ids, tick=m.tick, game_time=m.game_time, paused=m.paused,
-            alive=m.alive, health=m.health, max_health=m.max_health, mana=m.mana,
-            max_mana=m.max_mana, pos=m.pos, visible=m.visible, state=m.state, stats=m.stats,
-            item_owned=m.item_owned, item_cooldown=m.item_cooldown, abilities=m.abilities,
-            ability_count=m.ability_count, tower_team=m.tower_team, tower_pos=m.tower_pos,
-            tower_alive=m.tower_alive, death_slot=[], death_time=[])
-        raw = md.write_match(m2)
+        raw = md.write_match(m.replace(death_slot=[], death_time=[]))
         assert raw.rstrip(b"\n").rsplit(b"\n", 1)[1] == b'{"deaths":[]}'
+
+    def test_replace_swaps_named_fields_and_shares_the_rest(self, rng):
+        m = random_match(rng)
+        assert m.replace() == m
+        m2 = m.replace(match_id="other", death_slot=[], death_time=[])
+        assert m2.match_id == "other" and m2.death_slot.size == 0
+        assert m2.health is m.health and m2.tower_team is m.tower_team
+        with pytest.raises(TypeError):
+            m.replace(helth=m.health)
 
     def test_save_load_gzip_stable(self, rng, tmp_path):
         m = random_match(rng)
@@ -319,23 +320,11 @@ class TestRoundTrip:
         md.save_match(md.load_match(p), tmp_path / "m2.jsonl.gz")
         assert p.read_bytes() == (tmp_path / "m2.jsonl.gz").read_bytes()
 
-    def test_frame_view_matches_arrays(self, rng):
-        m = random_match(rng, n_frames=4)
-        fr = m.frame(2)
-        assert fr.tick == int(m.tick[2])
-        h = fr.heroes[7]
-        assert h.slot == 7
-        assert h.health == m.health[2, 7]
-        assert len(h.state_attrs) == md.N_STATE_ATTRS
-
 
 class TestStripPauses:
     def test_keeps_unpaused_in_order(self, rng):
         src = random_match(rng, n_frames=5)
-        # rebuild with frames 2 and 3 paused
-        import dataclasses
-        frames = [dataclasses.replace(src.frame(i), paused=(i in (2, 3))) for i in range(5)]
-        m = md.MatchRecord.from_frames("p1", frames)
+        m = src.replace(paused=np.isin(np.arange(5), (2, 3)))
         out = md.strip_pauses(m)
         assert out.n_frames == 3
         assert list(out.tick) == [0, 1, 4]
@@ -347,17 +336,8 @@ class TestStripPauses:
 
     def test_all_paused_raises(self, rng):
         m = random_match(rng, n_frames=3)
-        m2 = md.MatchRecord(
-            match_id=m.match_id, tick_interval=m.tick_interval, roster_size=m.roster_size,
-            hero_ids=m.hero_ids, tick=m.tick, game_time=m.game_time,
-            paused=np.ones(3, dtype=bool),
-            alive=m.alive, health=m.health, max_health=m.max_health, mana=m.mana,
-            max_mana=m.max_mana, pos=m.pos, visible=m.visible, state=m.state, stats=m.stats,
-            item_owned=m.item_owned, item_cooldown=m.item_cooldown, abilities=m.abilities,
-            ability_count=m.ability_count, tower_team=m.tower_team, tower_pos=m.tower_pos,
-            tower_alive=m.tower_alive, death_slot=m.death_slot, death_time=m.death_time)
         with pytest.raises(EmptyMatch):
-            md.strip_pauses(m2)
+            md.strip_pauses(m.replace(paused=np.ones(3, dtype=bool)))
 
     def test_random_mask_count_oracle(self, rng):
         for _ in range(20):
@@ -388,15 +368,7 @@ class TestValidate:
 
     def test_death_beyond_last_frame_flagged(self, rng):
         m = random_match(rng, n_frames=3)
-        bad = md.MatchRecord(
-            match_id=m.match_id, tick_interval=m.tick_interval, roster_size=m.roster_size,
-            hero_ids=m.hero_ids, tick=m.tick, game_time=m.game_time, paused=m.paused,
-            alive=m.alive, health=m.health, max_health=m.max_health, mana=m.mana,
-            max_mana=m.max_mana, pos=m.pos, visible=m.visible, state=m.state, stats=m.stats,
-            item_owned=m.item_owned, item_cooldown=m.item_cooldown, abilities=m.abilities,
-            ability_count=m.ability_count, tower_team=m.tower_team, tower_pos=m.tower_pos,
-            tower_alive=m.tower_alive,
-            death_slot=[0], death_time=[float(m.game_time[-1]) + 100.0])
+        bad = m.replace(death_slot=[0], death_time=[float(m.game_time[-1]) + 100.0])
         rep = md.validate_match(bad)
         assert any("death 0" in v.location for v in rep.violations)
 
@@ -405,15 +377,6 @@ class TestValidate:
             m = random_match(rng)
             assert md.validate_match(m).ok
             md.parse_match(md.write_match(m))  # must not raise
-
-
-def replaced(m, **columns):
-    """A copy of m with some columns replaced (the rest shared)."""
-    names = ("match_id", "tick_interval", "roster_size", "hero_ids", "tick", "game_time",
-             "paused", "alive", "health", "max_health", "mana", "max_mana", "pos", "visible",
-             "state", "stats", "item_owned", "item_cooldown", "abilities", "ability_count",
-             "tower_team", "tower_pos", "tower_alive", "death_slot", "death_time")
-    return md.MatchRecord(**{n: columns.get(n, getattr(m, n)) for n in names})
 
 
 class TestStoreRecord:
@@ -428,7 +391,7 @@ class TestStoreRecord:
 
     def test_towers_section_without_towers_round_trips(self, rng):
         m = random_match(rng, with_towers=False)
-        m = replaced(m, tower_team=np.zeros(0), tower_pos=np.zeros((0, 2)),
+        m = m.replace(tower_team=np.zeros(0), tower_pos=np.zeros((0, 2)),
                      tower_alive=np.zeros((m.n_frames, 0), dtype=bool))
         assert md.decode_match(md.encode_match(m)).has_towers
 
@@ -483,7 +446,7 @@ class TestStoreRecord:
         health = m.health.copy()
         health[1, 4] = m.max_health[1, 4] + 1
         with pytest.raises(SchemaViolation, match="invariant breach"):
-            md.decode_match(md.encode_match(replaced(m, health=health)))
+            md.decode_match(md.encode_match(m.replace(health=health)))
 
     def test_values_the_line_format_cannot_hold_are_refused(self, rng):
         m = random_match(rng, n_frames=3)
@@ -506,11 +469,11 @@ class TestStoreRecord:
                     dict(death_slot=[md.N_HEROES], death_time=[float(m.game_time[0])]),
                     dict(game_time=game_time)):
             with pytest.raises(SchemaViolation):
-                md.decode_match(md.encode_match(replaced(m, **bad)))
+                md.decode_match(md.encode_match(m.replace(**bad)))
 
     def test_unencodable_match_is_typed_error(self, rng):
         m = random_match(rng)
         with pytest.raises(SchemaViolation):
-            md.encode_match(replaced(m, roster_size=2**70))
+            md.encode_match(m.replace(roster_size=2**70))
         with pytest.raises(SchemaViolation):
-            md.encode_match(replaced(m, match_id="\ud800"))
+            md.encode_match(m.replace(match_id="\ud800"))
