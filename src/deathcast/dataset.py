@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -235,7 +235,14 @@ class BalancedBatch:
 
 
 class ShardPool:
-    """In-memory shard collection with per-slot positive/negative indices."""
+    """One split's samples in memory as one contiguous array per column.
+
+    `features` (n, 10, F) and `labels` (n, 10) hold every shard's rows in
+    order; shard i is rows offsets[i]:offsets[i + 1], and `shards[i]` views
+    those rows, so the pool holds one copy. Per slot and shard, the global
+    rows that are positive (and negative) for the slot drive the balanced
+    draw.
+    """
 
     def __init__(self, shards, split="train"):
         shards = list(shards)
@@ -244,45 +251,60 @@ class ShardPool:
         variants = {s.variant for s in shards}
         if len(variants) != 1:
             raise SchemaMismatch(f"mixed shard variants in one pool: {sorted(variants)}")
+        per_hero = {s.per_hero_count for s in shards}
+        if len(per_hero) != 1:
+            raise SchemaMismatch(
+                f"mixed per-hero feature counts in one pool: {sorted(per_hero)}")
         self.variant = shards[0].variant
         self.split = split
+        self.offsets = np.cumsum([0] + [len(s) for s in shards])
+        n = int(self.offsets[-1])
+        self.features = np.empty((n, md.N_HEROES, per_hero.pop()),
+                                 dtype=shards[0].features.dtype)
+        self.labels = np.empty((n, md.N_HEROES), dtype=bool)
+        # Replacing each entry once copied frees the shards that only this
+        # list holds (from_paths), so building never holds two full copies.
+        for i, (lo, hi) in enumerate(zip(self.offsets[:-1], self.offsets[1:])):
+            self.features[lo:hi] = shards[i].features
+            self.labels[lo:hi] = shards[i].labels
+            shards[i] = replace(shards[i], features=self.features[lo:hi],
+                                labels=self.labels[lo:hi])
         self.shards = shards
-        self._pos = [[np.flatnonzero(s.labels[:, slot]) for slot in range(md.N_HEROES)]
-                     for s in shards]
-        self._neg = [[np.flatnonzero(~s.labels[:, slot]) for slot in range(md.N_HEROES)]
-                     for s in shards]
-        self.pos_total = np.sum([s.labels.sum(axis=0) for s in shards], axis=0)
-        self.neg_total = len(self) - self.pos_total
+        self._pos = [[lo + np.flatnonzero(s.labels[:, slot])
+                      for s, lo in zip(shards, self.offsets)] for slot in range(md.N_HEROES)]
+        self._neg = [[lo + np.flatnonzero(~s.labels[:, slot])
+                      for s, lo in zip(shards, self.offsets)] for slot in range(md.N_HEROES)]
+        self.pos_total = self.labels.sum(axis=0)
+        self.neg_total = n - self.pos_total
 
     @classmethod
     def from_paths(cls, paths, split="train", expect_variant=None):
-        return cls([read_shard(p, expect_variant) for p in paths], split=split)
+        return cls((read_shard(p, expect_variant) for p in paths), split=split)
 
     def __len__(self):
-        return sum(len(s) for s in self.shards)
+        return len(self.labels)
 
     def all_features(self):
-        return np.concatenate([s.features for s in self.shards], axis=0)
+        return self.features
 
     def all_labels(self):
-        return np.concatenate([s.labels for s in self.shards], axis=0)
+        return self.labels
 
 
-def _draw_from_shards(pool, index_lists, need, rng):
-    """Pick `need` (shard, row) pairs, filling from random shards in turn."""
-    order = rng.permutation(len(pool.shards))
+def _draw_from_shards(candidates, need, rng):
+    """`need` global rows, as a list of arrays, from per-shard candidate
+    rows: whole shards in a random order, then a draw without replacement
+    from the shard that completes the count."""
+    order = rng.permutation(len(candidates))
     picked = []
     for si in order:
-        cand = index_lists[si]
+        cand = candidates[si]
         if len(cand) == 0:
             continue
-        take = min(need - len(picked), len(cand))
-        if take == len(cand):
-            rows = cand
-        else:
-            rows = rng.choice(cand, size=take, replace=False)
-        picked.extend((si, int(r)) for r in rows)
-        if len(picked) == need:
+        take = min(need, len(cand))
+        picked.append(cand if take == len(cand) else rng.choice(cand, size=take, replace=False))
+        need -= take
+        if need == 0:
             break
     return picked
 
@@ -291,7 +313,8 @@ def sample_balanced_batch(pool: ShardPool, batch_size=128, rng=None) -> Balanced
     """Draw a batch balanced 50/50 for one uniformly chosen satisfiable slot.
 
     Positives for the slot come from a random shard, topping up from more
-    shards when one does not hold enough; negatives likewise.
+    shards when one does not hold enough; negatives likewise. The batch is
+    one gather of the chosen rows from the pool's arrays.
     """
     if batch_size % 2 != 0 or batch_size < 2:
         raise ValueError(f"batch_size must be a positive even number, got {batch_size}")
@@ -302,12 +325,10 @@ def sample_balanced_batch(pool: ShardPool, batch_size=128, rng=None) -> Balanced
         raise InsufficientPositives(
             f"no slot has {half} positives and {half} negatives in the pool")
     slot = int(rng.choice(np.flatnonzero(ok)))
-    pos_rows = _draw_from_shards(pool, [p[slot] for p in pool._pos], half, rng)
-    neg_rows = _draw_from_shards(pool, [p[slot] for p in pool._neg], half, rng)
-    rows = pos_rows + neg_rows
-    feats = np.stack([pool.shards[si].features[r] for si, r in rows])
-    labels = np.stack([pool.shards[si].labels[r] for si, r in rows])
-    return BalancedBatch(features=feats, labels=labels, selected_slot=slot)
+    rows = np.concatenate(_draw_from_shards(pool._pos[slot], half, rng)
+                          + _draw_from_shards(pool._neg[slot], half, rng))
+    return BalancedBatch(features=pool.features[rows], labels=pool.labels[rows],
+                         selected_slot=slot)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Training loop over shard pools and random hyperparameter search.
 
-Each iteration draws one slot-balanced batch of 128 from a random shard,
+Each iteration draws one batch of the model's batch size, balanced 50/50
+for one random hero slot and topped up across the pool's shards as needed,
 backpropagates the selected slot's error and applies one Adam step. Every
 validation interval the pooled average precision on the (balanced)
 validation shards is computed and the best-scoring parameters are kept;
@@ -46,12 +47,8 @@ def _guard_not_test(pool: ShardPool, what):
 
 
 def _validation_arrays(val_pool, cap):
-    feats = val_pool.all_features()
-    labels = val_pool.all_labels()
-    if len(feats) > cap:
-        feats = feats[:cap]
-        labels = labels[:cap]
-    return feats, labels
+    """Views of the first `cap` validation samples."""
+    return val_pool.all_features()[:cap], val_pool.all_labels()[:cap]
 
 
 def validation_ap(params, val_feats, val_labels) -> float:

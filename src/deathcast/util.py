@@ -3,6 +3,7 @@ text reads, deterministic parallel map."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -55,11 +56,17 @@ def unseal(blob, header, magic, version, what, has_variant=True):
 
 def write_atomic(path, data):
     """Write bytes to a sibling temporary file, then rename it over path,
-    so readers never see a partly written file."""
+    so readers never see a partly written file. A failed write or rename
+    removes the temporary file before the error propagates."""
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as f:
-        f.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def write_lines(path, lines):

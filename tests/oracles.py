@@ -57,3 +57,37 @@ def brute_force_spearman_rho(x, y):
     num = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
     den = (sum((a - mx) ** 2 for a in rx) * sum((b - my) ** 2 for b in ry)) ** 0.5
     return num / den
+
+
+def reference_balanced_batch(shards, batch_size, rng):
+    """(features, labels, selected_slot) of one slot-balanced batch, drawn
+    per row from the shards' own columns.
+
+    This is the sampler the pool's one-gather path replaced; it makes the
+    same generator calls in the same order: the slot, then for positives
+    and negatives in turn a shard permutation and one draw without
+    replacement from the shard that completes the half batch.
+    """
+    half = batch_size // 2
+    pos_total = np.sum([s.labels.sum(axis=0) for s in shards], axis=0)
+    neg_total = sum(len(s.labels) for s in shards) - pos_total
+    slot = int(rng.choice(np.flatnonzero((pos_total >= half) & (neg_total >= half))))
+
+    def draw(positive):
+        order = rng.permutation(len(shards))
+        picked = []
+        for si in order:
+            cand = np.flatnonzero(shards[si].labels[:, slot] == positive)
+            if len(cand) == 0:
+                continue
+            take = min(half - len(picked), len(cand))
+            rows = cand if take == len(cand) else rng.choice(cand, size=take, replace=False)
+            picked.extend((si, int(r)) for r in rows)
+            if len(picked) == half:
+                break
+        return picked
+
+    rows = draw(True) + draw(False)
+    features = np.stack([shards[si].features[r] for si, r in rows])
+    labels = np.stack([shards[si].labels[r] for si, r in rows])
+    return features, labels, slot

@@ -8,12 +8,13 @@ from deathcast import features as ft
 from deathcast import match_data as md
 from deathcast import model as mo
 from deathcast import synth as sy
+from deathcast import train as tr
 from deathcast.errors import (ChecksumMismatch, DeathcastError, InsufficientPositives,
                               NonPositiveWindow, SchemaMismatch, SchemaViolation)
 from deathcast.util import hash64
 
 from conftest import header_mutations, random_match, reseal
-from oracles import brute_force_labels
+from oracles import brute_force_labels, reference_balanced_batch
 
 
 class TestLabels:
@@ -184,6 +185,7 @@ class TestShards:
         with pytest.raises(OSError, match="refusing"):
             mo.save_checkpoint(mo.init_params(cfg, rng), stats, checkpoint, step=1)
         assert {p: p.read_bytes() for p in before} == before
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_resealed_header_mutations_raise_typed_errors(self, rng):
         blob = ds.encode_shard(make_shard(rng, "medium", 20))
@@ -288,6 +290,68 @@ class TestBalancedBatch:
         s2 = make_shard(rng, "full", 3)
         with pytest.raises(SchemaMismatch):
             ds.ShardPool([s1, s2])
+
+    def test_mixed_per_hero_pool_rejected(self, rng):
+        # two full-schema datasets with different rosters
+        s1, s2 = (ds.Shard("full", *make_columns(rng, 3, per_hero=per_hero))
+                  for per_hero in (287, 160))
+        with pytest.raises(SchemaMismatch, match=r"\[160, 287\]"):
+            ds.ShardPool([s1, s2])
+
+    @pytest.mark.parametrize("batch_size", [2, 16, 128])
+    @pytest.mark.parametrize("layout", ["uneven", "no-candidates", "top-up"])
+    def test_batch_stream_matches_per_row_reference(self, layout, batch_size):
+        shards = _stream_shards(layout)
+        pool = ds.ShardPool(shards)
+        rng_pool, rng_ref = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(200):
+            batch = ds.sample_balanced_batch(pool, batch_size, rng_pool)
+            features, labels, slot = reference_balanced_batch(shards, batch_size, rng_ref)
+            assert batch.selected_slot == slot
+            assert np.array_equal(batch.features, features)
+            assert np.array_equal(batch.labels, labels)
+        assert rng_pool.bit_generator.state == rng_ref.bit_generator.state
+
+
+def _stream_shards(layout):
+    """Shards whose draws exercise one path of the balanced sampler each."""
+    rng = np.random.default_rng(20261018)
+    if layout == "uneven":  # shard sizes from 5 to 1500 samples
+        spec = [(700, 0.3), (37, 0.3), (1500, 0.3), (5, 0.3), (260, 0.3)]
+    elif layout == "no-candidates":  # shards without positives or without negatives
+        spec = [(300, 0.0), (90, 1.0), (0, 0.5), (500, 0.4), (60, 0.0)]
+    else:  # about 3 positives per shard and slot: a half batch spans many shards
+        spec = [(30, 0.1)] * 40
+    return [ds.Shard("minimal", *make_columns(rng, n, per_hero=4, pos_prob=p))
+            for n, p in spec]
+
+
+class TestPoolMemory:
+    @pytest.fixture(params=["from_paths", "from_shards"])
+    def pool(self, request, rng, tmp_path):
+        paths = ds.write_shards(*make_columns(rng, 9000), tmp_path, "minimal")
+        if request.param == "from_paths":
+            return ds.ShardPool.from_paths(paths, "val")
+        return ds.ShardPool([ds.read_shard(p) for p in paths], "val")
+
+    def test_shards_view_the_pool_arrays(self, pool):
+        assert [len(s) for s in pool.shards] == [4000, 4000, 1000]
+        for shard in pool.shards:
+            assert np.shares_memory(shard.features, pool.all_features())
+            assert np.shares_memory(shard.labels, pool.all_labels())
+        assert np.array_equal(pool.all_features(),
+                              np.concatenate([s.features for s in pool.shards]))
+
+    def test_all_columns_are_not_copied(self, pool):
+        assert np.shares_memory(pool.all_features(), pool.all_features())
+        assert np.shares_memory(pool.all_labels(), pool.all_labels())
+
+    @pytest.mark.parametrize("cap", [5000, 20000])
+    def test_validation_arrays_are_views(self, pool, cap):
+        feats, labels = tr._validation_arrays(pool, cap)
+        assert len(feats) == len(labels) == min(cap, len(pool))
+        assert np.shares_memory(feats, pool.all_features())
+        assert np.shares_memory(labels, pool.all_labels())
 
 
 class TestBuildDataset:
