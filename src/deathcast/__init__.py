@@ -9,16 +9,15 @@ hazard generator with an exact probability oracle (`synth`), and the CLI
 """
 
 from .dataset import (BalancedBatch, DatasetManifest, Shard, ShardPool, SplitManifest,
-                      build_dataset, downsample, label_frames, read_shard,
+                      build_dataset, downsample, label_frames, match_samples, read_shard,
                       sample_balanced_batch, split_matches, write_shards)
-from .evaluation import (EvalReport, MispredictionCounts, PRCurve, PredictionTimeline,
-                         ThresholdMetrics, TimeToDeathDistribution, average_precision,
-                         classify_mispredictions, evaluate_test, export_timeline, pr_curve,
-                         spearman, threshold_metrics, time_to_death_distribution)
-from .features import (FeatureSchema, FrameFeatures, HistoryState, NormalizationStats,
-                       compute_norm_stats, dump_schema, extract_frame, extract_match,
-                       feature_schema, fresh_history, merge_norm_stats, normalize,
-                       normalize_array)
+from .evaluation import (EvalReport, MatchScores, MispredictionCounts, PRCurve,
+                         PredictionTimeline, ThresholdMetrics, TimeToDeathDistribution,
+                         average_precision, classify_mispredictions, evaluate_test,
+                         export_timeline, pr_curve, spearman, threshold_metrics,
+                         time_to_death_distribution)
+from .features import (FeatureSchema, NormalizationStats, compute_norm_stats, dump_schema,
+                       extract_match, feature_schema, normalize_array)
 from .match_data import (DeathEvent, MatchRecord, ValidationReport, load_match, parse_match,
                          save_match, strip_pauses, validate_match, write_match)
 from .model import (AdamState, ForwardTrace, GradCheckReport, ModelConfig, ModelParams,

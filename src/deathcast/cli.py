@@ -52,6 +52,23 @@ def _variant(text):
 _CASTS = {"schema": _variant, "window_seconds": float, "period_ticks": int,
           "seed": int, "threads": int, "threshold": float}
 
+# Accepted values of the options that have a range, whether a flag, the
+# environment or a config file gives them; the library checks them again.
+_RANGES = {
+    "window_seconds": (lambda v: v > 0, "> 0"),
+    "period_ticks": (lambda v: v >= 1, ">= 1"),
+    "drop_fraction": (lambda v: 0 <= v < 1, "in [0, 1)"),
+    "val_interval": (lambda v: v >= 1, ">= 1"),
+    "batch": (lambda v: v >= 2 and v % 2 == 0, "a positive even number"),
+    "budget": (lambda v: v >= 1, ">= 1"),
+}
+
+
+def _check_range(name, value, origin):
+    if name in _RANGES and not _RANGES[name][0](value):
+        raise UsageError(f"{origin}: {name} must be {_RANGES[name][1]}, got {value!r}")
+    return value
+
 
 def _read_config_file(path):
     out = {}
@@ -69,16 +86,21 @@ def _read_config_file(path):
 def _cast(name, text, origin):
     """A knob's value from the environment or a config file."""
     try:
-        return _CASTS[name](text)
+        value = _CASTS[name](text)
     except ValueError as exc:
         raise UsageError(f"{origin}: bad value {text!r} for {name}: {exc}") from None
+    return _check_range(name, value, origin)
 
 
 def resolve_options(args):
     """flags > env > config file > defaults, for the shared knobs.
 
-    A value the flag parser would refuse raises UsageError (exit 2).
+    A value the flag parser would refuse, or one out of its range, raises
+    UsageError (exit 2).
     """
+    for name, value in vars(args).items():
+        if value is not None:
+            _check_range(name, value, "--" + name.replace("_", "-"))
     config = getattr(args, "config", None)
     file_vals = _read_config_file(config) if config else {}
     unknown = sorted(set(file_vals) - set(_SHARED_DEFAULTS))
@@ -150,9 +172,13 @@ def _store_manifest_path(store):
 
 
 def _match_files(directory):
-    """The match files of a directory, in name order."""
-    return sorted(p for p in Path(directory).iterdir()
-                  if p.name.endswith((".jsonl", ".jsonl.gz")))
+    """The match files of a directory, in name order; SchemaViolation when
+    there are none."""
+    files = sorted(p for p in Path(directory).iterdir()
+                   if p.name.endswith((".jsonl", ".jsonl.gz")))
+    if not files:
+        raise SchemaViolation(f"no match files (*.jsonl / *.jsonl.gz) under {directory}")
+    return files
 
 
 def _read_store_manifest(store):
@@ -192,8 +218,6 @@ def cmd_ingest(args, opt):
     (what extract and eval read) beside the validated text, uncompressed."""
     src = Path(args.matches)
     files = _match_files(src)
-    if not files:
-        raise SchemaViolation(f"no match files (*.jsonl / *.jsonl.gz) under {src}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = []
@@ -335,9 +359,7 @@ def cmd_eval(args, opt):
                            thresholds=(0.9, opt.threshold), threads=opt.threads)
     save_eval_report(report, args.report)
     if args.ttd is not None:
-        dist = time_to_death_distribution(params, stats, matches, window=manifest.window,
-                                          period_ticks=manifest.period_ticks)
-        save_ttd_distribution(dist, args.ttd)
+        save_ttd_distribution(time_to_death_distribution(report.matches), args.ttd)
     print(f"test AP {report.average_precision:.4f} over {report.n_samples} samples "
           f"(positive rate {report.positive_rate:.4f}); report at {args.report}")
     return 0

@@ -1,15 +1,15 @@
 """Labeled, downsampled, rebalanced, sharded training data.
 
 The pipeline per match is: strip pauses, label every frame from the exact
-death events, keep every period-th tick, extract and scale features, drop
-~half of the all-negative samples, then shuffle globally and write shards
-of at most 4000 samples. Minibatches are balanced for one randomly chosen
-hero slot (64 positive / 64 negative at batch size 128).
+death events, keep every period-th tick, extract features (match_samples);
+then, per split, scale the features with train-only statistics, drop
+~half of the all-negative samples, shuffle the split globally and write
+shards of at most 4000 samples. Minibatches are balanced for one randomly
+chosen hero slot (64 positive / 64 negative at batch size 128).
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import struct
 from dataclasses import dataclass, field, replace
@@ -36,7 +36,7 @@ def label_frames(m, window=5.0):
     The boundary is half-open: a death at exactly t is the past, a death at
     exactly t + window still counts.
     """
-    if window <= 0:
+    if not window > 0:  # NaN too: no death is within a NaN window
         raise NonPositiveWindow(f"window must be > 0 seconds, got {window}")
     if m.paused.any():
         raise SchemaViolation("strip pauses before labeling")
@@ -434,79 +434,79 @@ def _chunks(iterator, size):
         yield buf
 
 
-def match_samples(m, schema, stats, window=5.0, period_ticks=4):
-    """strip -> label -> downsample -> extract -> normalize for one match.
+def match_samples(m, schema, window=5.0, period_ticks=4):
+    """strip -> label -> downsample -> extract for one match: the one path
+    from a match record to its (sampled frame, hero) rows.
 
-    Returns (features (k,10,F) float32, labels (k,10) bool, game_times (k,)).
+    Returns (clean, idx, features, labels, game_times): the pause-stripped
+    match, the sampled frame indices into it, raw (unnormalized) float64
+    features (k, 10, F), labels (k, 10) bool and game times (k,).
     """
-    m = md.strip_pauses(m)
-    labels = label_frames(m, window=window)
-    idx = downsample(m, period_ticks=period_ticks)
-    feats, gt = ft.extract_match(m, schema, idx)
-    feats = ft.normalize_array(feats, stats).astype("<f4")
-    return feats, labels[idx], gt
+    clean = md.strip_pauses(m)
+    labels = label_frames(clean, window=window)
+    idx = downsample(clean, period_ticks=period_ticks)
+    feats, gt = ft.extract_match(clean, schema, idx)
+    return clean, idx, feats, labels[idx], gt
 
 
 def build_dataset(match_provider, out_dir, schema, window=5.0, period_ticks=4,
                   drop_fraction=0.5, split_seed=0, shuffle_seed=0, drop_seed=0,
                   threads=1) -> DatasetManifest:
-    """Two-pass dataset build from a restartable match source.
+    """One-pass dataset build: each match is loaded and prepared once.
 
-    `match_provider()` must return a fresh iterator of MatchRecords each
-    call (pass 1 computes the match split and train-only normalization
-    stats; pass 2 extracts, normalizes, rebalances and writes shards).
-    Test matches are never sharded or rebalanced: the test split is
-    evaluated straight from its match records.
+    `match_provider()` is called once and returns an iterator of
+    MatchRecords, taken `threads` at a time through match_samples. The
+    match split comes from the ids in stream order, the normalization stats
+    from the raw train features only; then each of train and val is
+    normalized, rebalanced, shuffled and written as shards. Test matches are
+    never sharded or rebalanced: the test split is evaluated straight from
+    its match records.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     threads = max(1, threads)
 
-    split = split_matches([m.match_id for m in match_provider()], seed=split_seed)
+    def prepare(m):
+        _, _, feats, labels, gt = match_samples(m, schema, window, period_ticks)
+        return [m.match_id, feats, labels, gt.astype("<f4")]
 
-    def map_matches(fn, parts):
-        """fn over a fresh pass of the matches in `parts`, in stream order."""
-        for chunk in _chunks(match_provider(), threads):
-            wanted = [m for m in chunk if split.split_of(m.match_id) in parts]
-            yield from ordered_map(fn, wanted, threads)
-
-    def stats_one(m):
-        clean = md.strip_pauses(m)
-        feats, _ = ft.extract_match(clean, schema, downsample(clean, period_ticks))
-        return ft.compute_norm_stats([feats], schema=schema)
-
-    partial_stats = list(map_matches(stats_one, ("train",)))
-    if not partial_stats:
+    prepared = [block for chunk in _chunks(match_provider(), threads)
+                for block in ordered_map(prepare, chunk, threads)]
+    split = split_matches([block[0] for block in prepared], seed=split_seed)
+    if not split.train:
         raise SchemaViolation("no training matches in the split")
-    stats_acc = functools.reduce(ft.merge_norm_stats, partial_stats)
+    parts = {"train": [], "val": []}
+    for block in prepared:
+        if (part := split.split_of(block[0])) in parts:
+            parts[part].append(block)
+    del prepared  # the test matches' blocks go with it
+
+    stats = ft.compute_norm_stats([block[1] for block in parts["train"]], schema)
     stats_path = out_dir / "norm_stats.tsv"
-    ft.save_norm_stats(stats_acc, stats_path)
+    ft.save_norm_stats(stats, stats_path)
 
-    def samples_one(m):
-        feats, labels, gt = match_samples(m, schema, stats_acc, window, period_ticks)
-        return split.split_of(m.match_id), (hash64(m.match_id), feats, labels, gt)
-
-    buckets = {"train": [], "val": []}
-    for part, block in map_matches(samples_one, buckets):
-        buckets[part].append(block)
-
-    rngs = {"train": 0, "val": 1}
     shard_paths = {"train": [], "val": [], "test": []}
     counts = {"train": 0, "val": 0, "test": 0}
-    for part, blocks in buckets.items():
+    for stream, (name, blocks) in enumerate(parts.items()):  # train 0, val 1
         if not blocks:
             continue
-        feats = np.concatenate([b[1] for b in blocks], axis=0)
-        labels = np.concatenate([b[2] for b in blocks], axis=0)
-        gts = np.concatenate([b[3] for b in blocks], axis=0).astype("<f4")
-        keys = np.concatenate([np.full(len(b[1]), b[0], dtype="<u8") for b in blocks])
-        kept = np.flatnonzero(undersample_mask(labels, drop_fraction,
-                                               seed=(drop_seed, rngs[part])))
-        rows = kept[np.random.default_rng((shuffle_seed, rngs[part])).permutation(len(kept))]
-        counts[part] = len(rows)
-        shard_paths[part] = [str(p) for p in write_shards(
+        feats = np.empty((sum(len(b[2]) for b in blocks), md.N_HEROES, schema.per_hero_count),
+                         dtype="<f4")
+        at = 0
+        for block in blocks:
+            k = len(block[2])
+            feats[at:at + k] = ft.normalize_array(block[1], stats)
+            block[1] = None  # free each raw block once it is normalized
+            at += k
+        labels = np.concatenate([b[2] for b in blocks])
+        gts = np.concatenate([b[3] for b in blocks])
+        keys = np.concatenate([np.full(len(b[2]), hash64(b[0]), dtype="<u8") for b in blocks])
+        kept = np.flatnonzero(undersample_mask(labels, drop_fraction, seed=(drop_seed, stream)))
+        rows = kept[np.random.default_rng((shuffle_seed, stream)).permutation(len(kept))]
+        counts[name] = len(rows)
+        shard_paths[name] = [str(p) for p in write_shards(
             feats[rows], labels[rows], keys[rows], gts[rows], out_dir, schema.variant,
-            prefix=part)]
+            prefix=name)]
 
     manifest = DatasetManifest(
         variant=schema.variant, window=window, period_ticks=period_ticks,

@@ -17,9 +17,9 @@ import numpy as np
 from scipy.special import stdtr
 
 from . import match_data as md
-from .dataset import downsample, label_frames
+from .dataset import match_samples
 from .errors import ConstantInput, LengthMismatch, NoPositives
-from .features import extract_match, normalize_array
+from .features import normalize_array
 from .model import forward
 from .util import ordered_map, write_lines
 
@@ -49,6 +49,15 @@ class ThresholdMetrics:
 
 
 @dataclass(frozen=True)
+class MatchScores:
+    """One evaluated match: what the distributions over its samples need."""
+
+    game_times: np.ndarray  # (k,) sampled game times
+    probs: np.ndarray  # (k, 10) predicted probabilities
+    deaths: tuple  # per slot: sorted death times
+
+
+@dataclass(frozen=True)
 class EvalReport:
     average_precision: float
     positive_rate: float
@@ -56,6 +65,7 @@ class EvalReport:
     operating_points: dict  # threshold -> ThresholdMetrics
     curve: PRCurve
     health_spearman: tuple | None = None  # (rho, p) or None if degenerate
+    matches: tuple = ()  # MatchScores per evaluated match, in input order
 
 
 @dataclass(frozen=True)
@@ -206,14 +216,16 @@ def predict_probs(params, feats, chunk=4096):
     return np.concatenate(outs, axis=0) if outs else np.zeros((0, md.N_HEROES))
 
 
-def _match_scores(params, stats, m, window, period_ticks):
-    clean = md.strip_pauses(m)
-    labels = label_frames(clean, window=window)
-    idx = downsample(clean, period_ticks=period_ticks)
-    feats, gt = extract_match(clean, stats.schema, idx)
-    x = normalize_array(feats, stats).astype(np.float32)
-    probs = predict_probs(params, x)
-    return clean, idx, gt, probs, labels[idx]
+def _score_match(params, stats, m, window, period_ticks):
+    """match_samples, then the network: (clean match, sampled indices, game
+    times, probabilities (k, 10), labels (k, 10))."""
+    clean, idx, feats, labels, gt = match_samples(m, stats.schema, window, period_ticks)
+    probs = predict_probs(params, normalize_array(feats, stats).astype(np.float32))
+    return clean, idx, gt, probs, labels
+
+
+def _slot_deaths(m):
+    return tuple(np.sort(m.deaths_for_slot(s)) for s in range(md.N_HEROES))
 
 
 def evaluate_test(params, stats, matches, window=None, period_ticks=4,
@@ -223,13 +235,15 @@ def evaluate_test(params, stats, matches, window=None, period_ticks=4,
     Pools every (downsampled frame, hero) pair across the given matches:
     sample count is exactly sum(downsampled frames) * 10. Also reports the
     Spearman correlation between raw hero health and the predicted
-    probability (None when either is constant).
+    probability (None when either is constant). Each match's scores stay on
+    the report for the distributions derived from them.
     """
     window = params.config.window if window is None else window
 
     def one(m):
-        clean, idx, _, probs, labels = _match_scores(params, stats, m, window, period_ticks)
-        return probs.ravel(), labels.ravel(), clean.health[idx].ravel()
+        clean, idx, gt, probs, labels = _score_match(params, stats, m, window, period_ticks)
+        return (probs.ravel(), labels.ravel(), clean.health[idx].ravel(),
+                MatchScores(game_times=gt, probs=probs, deaths=_slot_deaths(clean)))
 
     parts = ordered_map(one, matches, threads)
     scores = np.concatenate([p[0] for p in parts])
@@ -249,23 +263,22 @@ def evaluate_test(params, stats, matches, window=None, period_ticks=4,
         operating_points=ops,
         curve=curve,
         health_spearman=health_sp,
+        matches=tuple(p[3] for p in parts),
     )
 
 
-def time_to_death_distribution(params, stats, matches, window=None,
-                               period_ticks=4, horizon=20.0) -> TimeToDeathDistribution:
-    """Predicted-probability distribution bucketed by time until next death.
+def time_to_death_distribution(scored, horizon=20.0) -> TimeToDeathDistribution:
+    """Predicted-probability distribution bucketed by time until next death,
+    over scored matches (MatchScores, as `EvalReport.matches` holds them).
 
     One-second buckets (k, k+1] for k = 0..horizon-1, plus a bucket for
     heroes with no death within the horizon.
     """
-    window = params.config.window if window is None else window
     n_bins = int(np.ceil(horizon))
     per_bin = [[] for _ in range(n_bins + 1)]  # last = no death within horizon
-    for m in matches:
-        clean, idx, gt, probs, _ = _match_scores(params, stats, m, window, period_ticks)
-        for s in range(md.N_HEROES):
-            deaths = np.sort(clean.deaths_for_slot(s))
+    for match in scored:
+        gt, probs = match.game_times, match.probs
+        for s, deaths in enumerate(match.deaths):
             pos = np.searchsorted(deaths, gt, side="right")
             has_next = pos < len(deaths)
             delta = np.full(len(gt), np.inf)
@@ -298,18 +311,16 @@ def export_timeline(params, stats, m, threshold=0.5, window=None,
     marker per death event (flagged on the first sampled row at or after
     the death; the last row if the death falls beyond it)."""
     window = params.config.window if window is None else window
-    clean, _, gt, probs, _ = _match_scores(params, stats, m, window, period_ticks)
+    clean, _, gt, probs, _ = _score_match(params, stats, m, window, period_ticks)
     k = len(gt)
     flags = np.zeros((k, md.N_HEROES), dtype=bool)
-    deaths = []
-    for s in range(md.N_HEROES):
-        ts = tuple(float(t) for t in np.sort(clean.deaths_for_slot(s)))
-        deaths.append(ts)
+    deaths = tuple(tuple(float(t) for t in ts) for ts in _slot_deaths(clean))
+    for s, ts in enumerate(deaths):
         for tau in ts:
             j = int(np.searchsorted(gt, tau, side="left"))
             flags[min(j, k - 1), s] = True
     return PredictionTimeline(match_id=m.match_id, threshold=float(threshold),
-                              game_times=gt, probs=probs, deaths=tuple(deaths),
+                              game_times=gt, probs=probs, deaths=deaths,
                               death_flags=flags)
 
 

@@ -5,16 +5,16 @@ Every hero slot gets the same ordered feature layout. The `full` variant is
 (109); `minimal` is the 15-feature core (health, gold, position, hero and
 tower proximities). `dump_schema` prints the exact order.
 
-Extraction exists twice on purpose: `extract_frame` is the sequential
-reference (one frame at a time, carrying HistoryState), `extract_match`
-is the vectorized bulk path used by the pipeline. The test suite asserts
-they produce identical output.
+`extract_match` extracts every sampled frame of a match at once; the
+change and visibility-history features are relative to the previous
+sampled frame. The test suite checks it against a frame-at-a-time
+reference in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,46 +129,6 @@ def dump_schema(schema: FeatureSchema) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class FrameFeatures:
-    """One extracted frame: 10 per-hero vectors in slot order."""
-
-    schema: FeatureSchema
-    game_time: float
-    per_hero: np.ndarray  # (10, per_hero_count) float64
-
-
-@dataclass
-class HistoryState:
-    """Order-dependent carry-over between consecutive processed samples."""
-
-    initialized: bool
-    prev_game_time: float
-    prev_pos: np.ndarray
-    prev_ally_prox: np.ndarray
-    prev_enemy_prox: np.ndarray
-    prev_ally_tower: np.ndarray
-    prev_enemy_tower: np.ndarray
-    vis_flags: np.ndarray  # (10 heroes, 10 ages) bool, age 0 = current second
-    vis_bucket: int
-    towers_warned: bool = False
-
-
-def fresh_history() -> HistoryState:
-    h = md.N_HEROES
-    return HistoryState(
-        initialized=False,
-        prev_game_time=0.0,
-        prev_pos=np.zeros((h, 2)),
-        prev_ally_prox=np.zeros((h, 4)),
-        prev_enemy_prox=np.zeros((h, 5)),
-        prev_ally_tower=np.zeros(h),
-        prev_enemy_tower=np.zeros(h),
-        vis_flags=np.zeros((h, N_VIS_FLAGS), dtype=bool),
-        vis_bucket=0,
-    )
-
-
 def _pairwise_dist(pos):
     """Euclidean distance matrix; pos is (..., 10, 2)."""
     diff = pos[..., :, None, :] - pos[..., None, :, :]
@@ -196,133 +156,6 @@ def _tower_prox(pos, tower_team, tower_pos, tower_alive):
         best = dm.min(axis=-1)
         out.append(np.where(np.isfinite(best), best, 0.0))
     return out[0], out[1]
-
-
-def extract_frame(m, frame_index, schema, hist):
-    """Extract one frame's 10 feature vectors; returns (FrameFeatures, hist).
-
-    `hist` must be fresh for the first processed frame of a match and is
-    updated in place (and returned) for the next call. Frames must be fed
-    in the order they will be sampled; history-derived features (changes,
-    visibility) are relative to the previously processed frame.
-    """
-    n = m.n_frames
-    if not 0 <= frame_index < n:
-        raise InvalidFrame(f"frame index {frame_index} out of range (0..{n - 1})")
-    if schema.has_hero_onehot and schema.roster_size != m.roster_size:
-        raise SchemaMismatch(
-            f"schema one-hot width {schema.roster_size} != match roster {m.roster_size}")
-
-    i = frame_index
-    t = float(m.game_time[i])
-    pos = m.pos[i]  # (10, 2)
-    dists = _pairwise_dist(pos)
-
-    ally = np.zeros((md.N_HEROES, 4))
-    enemy = np.zeros((md.N_HEROES, 5))
-    for s in range(md.N_HEROES):
-        ally[s] = np.sort(dists[s, _ALLY_IDX[s]])
-        enemy[s] = np.sort(dists[s, _ENEMY_IDX[s]])
-
-    if m.has_towers:
-        ally_tw, enemy_tw = _tower_prox(pos, m.tower_team, m.tower_pos, m.tower_alive[i])
-    else:
-        ally_tw = np.zeros(md.N_HEROES)
-        enemy_tw = np.zeros(md.N_HEROES)
-        if not hist.towers_warned:
-            log.warning("match %s has no tower data; tower proximity features are 0", m.match_id)
-            hist.towers_warned = True
-
-    dt = t - hist.prev_game_time
-    if hist.initialized and dt > 0:
-        pos_chg = (pos - hist.prev_pos) / dt
-        ally_chg = (ally - hist.prev_ally_prox) / dt
-        enemy_chg = (enemy - hist.prev_enemy_prox) / dt
-        ally_tw_chg = (ally_tw - hist.prev_ally_tower) / dt
-        enemy_tw_chg = (enemy_tw - hist.prev_enemy_tower) / dt
-    else:
-        pos_chg = np.zeros((md.N_HEROES, 2))
-        ally_chg = np.zeros((md.N_HEROES, 4))
-        enemy_chg = np.zeros((md.N_HEROES, 5))
-        ally_tw_chg = np.zeros(md.N_HEROES)
-        enemy_tw_chg = np.zeros(md.N_HEROES)
-
-    bucket = int(np.floor(t))
-    if not hist.initialized:
-        hist.vis_flags[:] = False
-        hist.vis_bucket = bucket
-    else:
-        shift = bucket - hist.vis_bucket
-        if shift < 0:
-            raise InvalidFrame("frames fed to extract_frame out of time order")
-        if shift > 0:
-            rolled = np.zeros_like(hist.vis_flags)
-            if shift < N_VIS_FLAGS:
-                rolled[:, shift:] = hist.vis_flags[:, :N_VIS_FLAGS - shift]
-            hist.vis_flags = rolled
-            hist.vis_bucket = bucket
-    hist.vis_flags[:, 0] |= m.visible[i]
-    vis = hist.vis_flags.astype(np.float64)
-
-    out = np.empty((md.N_HEROES, schema.per_hero_count))
-    if schema.variant == "minimal":
-        out[:, 0] = m.health[i]
-        out[:, 1] = m.stats[i, :, md.GOLD_STAT_INDEX]
-        out[:, 2] = pos[:, 0]
-        out[:, 3] = pos[:, 1]
-        out[:, 4:8] = ally
-        out[:, 8:13] = enemy
-        out[:, 13] = ally_tw
-        out[:, 14] = enemy_tw
-    else:
-        c = 0
-        out[:, c] = t
-        c += 1
-        out[:, c:c + md.N_STATE_ATTRS] = m.state[i]
-        c += md.N_STATE_ATTRS
-        out[:, c:c + md.N_STAT_ATTRS] = m.stats[i]
-        c += md.N_STAT_ATTRS
-        items = np.stack([m.item_owned[i].astype(np.float64), m.item_cooldown[i]], axis=-1)
-        out[:, c:c + 2 * md.N_TRACKED_ITEMS] = items.reshape(md.N_HEROES, -1)
-        c += 2 * md.N_TRACKED_ITEMS
-        if schema.variant == "full":
-            out[:, c:c + md.N_ABILITY_SLOTS * md.N_ABILITY_ATTRS] = \
-                m.abilities[i].reshape(md.N_HEROES, -1)
-            c += md.N_ABILITY_SLOTS * md.N_ABILITY_ATTRS
-            onehot = np.zeros((md.N_HEROES, schema.roster_size))
-            onehot[np.arange(md.N_HEROES), m.hero_ids] = 1.0
-            out[:, c:c + schema.roster_size] = onehot
-            c += schema.roster_size
-        out[:, c] = pos[:, 0]
-        out[:, c + 1] = pos_chg[:, 0]
-        out[:, c + 2] = pos[:, 1]
-        out[:, c + 3] = pos_chg[:, 1]
-        c += 4
-        out[:, c:c + 4] = ally
-        out[:, c + 4:c + 8] = ally_chg
-        out[:, c + 8:c + 13] = enemy
-        out[:, c + 13:c + 18] = enemy_chg
-        c += 18
-        out[:, c] = ally_tw
-        out[:, c + 1] = ally_tw_chg
-        out[:, c + 2] = enemy_tw
-        out[:, c + 3] = enemy_tw_chg
-        c += 4
-        out[:, c:c + N_VIS_FLAGS] = vis
-        c += N_VIS_FLAGS
-        assert c == schema.per_hero_count
-
-    if not np.isfinite(out).all():
-        raise InvalidFrame(f"frame {i}: non-finite feature value")
-
-    hist.initialized = True
-    hist.prev_game_time = t
-    hist.prev_pos = pos.copy()
-    hist.prev_ally_prox = ally
-    hist.prev_enemy_prox = enemy
-    hist.prev_ally_tower = ally_tw
-    hist.prev_enemy_tower = enemy_tw
-    return FrameFeatures(schema=schema, game_time=t, per_hero=out), hist
 
 
 def _bulk_visibility(game_times, visible):
@@ -358,8 +191,9 @@ def extract_match(m, schema, indices=None):
     """Vectorized extraction over sampled frame indices (default: all).
 
     Returns (features, game_times): features is (k, 10, per_hero_count)
-    float64. Produces exactly the same numbers as running extract_frame
-    over `indices` in order with a fresh history.
+    float64. Change features are per second since the previous sampled
+    frame (0 at the first), visibility flags cover the trailing whole
+    seconds of the sampled frames.
     """
     if schema.has_hero_onehot and schema.roster_size != m.roster_size:
         raise SchemaMismatch(
@@ -476,21 +310,12 @@ class NormalizationStats:
             raise SchemaMismatch("min > max in normalization stats")
 
 
-def compute_norm_stats(samples, schema=None) -> NormalizationStats:
-    """Pooled min/max over a stream of FrameFeatures or raw feature arrays.
-
-    Raw arrays may be (10, F) single frames or (k, 10, F) bulk blocks.
-    """
+def compute_norm_stats(arrays, schema) -> NormalizationStats:
+    """Pooled min/max over raw feature arrays, (10, F) frames or (k, 10, F)
+    blocks, of one schema."""
     mins = maxs = None
-    for item in samples:
-        if isinstance(item, FrameFeatures):
-            if schema is None:
-                schema = item.schema
-            elif item.schema != schema:
-                raise SchemaMismatch("mixed schemas in normalization stream")
-            arr = item.per_hero
-        else:
-            arr = np.asarray(item)
+    for arr in arrays:
+        arr = np.asarray(arr)
         flat = arr.reshape(-1, arr.shape[-1])
         if flat.shape[0] == 0:
             continue
@@ -503,16 +328,7 @@ def compute_norm_stats(samples, schema=None) -> NormalizationStats:
             np.maximum(maxs, hi, out=maxs)
     if mins is None:
         raise EmptyStream("no samples to compute normalization stats from")
-    if schema is None:
-        raise SchemaMismatch("raw arrays given without a schema")
     return NormalizationStats(schema=schema, mins=mins, maxs=maxs)
-
-
-def merge_norm_stats(a: NormalizationStats, b: NormalizationStats) -> NormalizationStats:
-    """Associative merge of two partial stats (for parallel computation)."""
-    if a.schema != b.schema:
-        raise SchemaMismatch("cannot merge stats for different schemas")
-    return NormalizationStats(a.schema, np.minimum(a.mins, b.mins), np.maximum(a.maxs, b.maxs))
 
 
 def normalize_array(arr, stats: NormalizationStats):
@@ -522,12 +338,6 @@ def normalize_array(arr, stats: NormalizationStats):
     out = (arr - stats.mins) / safe
     out = np.where(rng > 0, out, 0.0)
     return np.clip(out, 0.0, 1.0)
-
-
-def normalize(f: FrameFeatures, stats: NormalizationStats) -> FrameFeatures:
-    if f.schema != stats.schema:
-        raise SchemaMismatch("frame schema differs from stats schema")
-    return replace(f, per_hero=normalize_array(f.per_hero, stats))
 
 
 def save_norm_stats(stats: NormalizationStats, path):

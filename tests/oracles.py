@@ -4,6 +4,9 @@ These deliberately avoid numpy vectorization tricks and share no code with
 the package paths they check.
 """
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
 from deathcast import match_data as md
@@ -91,3 +94,122 @@ def reference_balanced_batch(shards, batch_size, rng):
     features = np.stack([shards[si].features[r] for si, r in rows])
     labels = np.stack([shards[si].labels[r] for si, r in rows])
     return features, labels, slot
+
+
+# ---------------------------------------------------------------------------
+# Frame-at-a-time feature extraction: the reference for features.extract_match
+
+N_VIS_FLAGS = 10  # trailing whole seconds of visibility, newest first
+
+
+@dataclass(frozen=True)
+class FrameFeatures:
+    """One extracted frame: 10 per-hero vectors in slot order."""
+
+    schema: object
+    game_time: float
+    per_hero: np.ndarray  # (10, per_hero_count) float64
+
+
+@dataclass
+class HistoryState:
+    """Carry-over between consecutive processed samples of one match."""
+
+    initialized: bool
+    prev_game_time: float
+    prev: dict  # (slot, feature name) -> value at the previous sample
+    vis_flags: np.ndarray  # (10 heroes, N_VIS_FLAGS ages) bool, age 0 = current second
+    vis_bucket: int
+
+
+def fresh_history():
+    return HistoryState(initialized=False, prev_game_time=0.0, prev={},
+                        vis_flags=np.zeros((md.N_HEROES, N_VIS_FLAGS), dtype=bool),
+                        vis_bucket=0)
+
+
+def _distance(a, b):
+    dx, dy = a[0] - b[0], a[1] - b[1]
+    return math.sqrt(dx * dx + dy * dy)
+
+
+def _nearest_tower(m, i, slot, own_side):
+    """Distance to the nearest alive tower of the hero's side (or the other
+    side); 0 when there is none."""
+    hero_side = 0 if slot in md.TEAM_A_SLOTS else 1
+    best = math.inf
+    if m.has_towers:
+        for side, where, alive in zip(m.tower_team, m.tower_pos, m.tower_alive[i]):
+            if alive and (side == hero_side) == own_side:
+                best = min(best, _distance(m.pos[i, slot], where))
+    return 0.0 if best == math.inf else best
+
+
+def extract_frame(m, frame_index, schema, hist):
+    """One frame's 10 feature vectors, each feature looked up by its schema
+    name; returns (FrameFeatures, hist).
+
+    Feed a match's sampled frames in order, starting from fresh_history():
+    change features are per second since the previous processed frame, and
+    the visibility flags are a ring of one-second buckets over them.
+    """
+    i = frame_index
+    t = float(m.game_time[i])
+    dt = t - hist.prev_game_time
+    changes = hist.initialized and dt > 0
+
+    bucket = math.floor(t)
+    if not hist.initialized:
+        hist.vis_flags[:] = False
+        hist.vis_bucket = bucket
+    elif bucket != hist.vis_bucket:
+        shift = bucket - hist.vis_bucket
+        assert shift > 0, "frames fed out of time order"
+        rolled = np.zeros_like(hist.vis_flags)
+        if shift < N_VIS_FLAGS:
+            rolled[:, shift:] = hist.vis_flags[:, :N_VIS_FLAGS - shift]
+        hist.vis_flags = rolled
+        hist.vis_bucket = bucket
+    hist.vis_flags[:, 0] |= m.visible[i]
+
+    out = np.empty((md.N_HEROES, schema.per_hero_count))
+    current = {}
+    for s in range(md.N_HEROES):
+        team, other = ((md.TEAM_A_SLOTS, md.TEAM_B_SLOTS) if s in md.TEAM_A_SLOTS
+                       else (md.TEAM_B_SLOTS, md.TEAM_A_SLOTS))
+        pos = m.pos[i, s]
+        ally = sorted(_distance(pos, m.pos[i, o]) for o in team if o != s)
+        enemy = sorted(_distance(pos, m.pos[i, o]) for o in other)
+        moving = {"pos_x": pos[0], "pos_y": pos[1],
+                  "ally_tower_proximity": _nearest_tower(m, i, s, True),
+                  "enemy_tower_proximity": _nearest_tower(m, i, s, False)}
+        moving.update((f"ally_proximity_{j + 1}", d) for j, d in enumerate(ally))
+        moving.update((f"enemy_proximity_{j + 1}", d) for j, d in enumerate(enemy))
+
+        vals = dict(moving)
+        for name, v in moving.items():
+            vals[f"{name}_change"] = (v - hist.prev[s, name]) / dt if changes else 0.0
+            current[s, name] = v
+        vals["time"] = t
+        vals["health"] = m.health[i, s]
+        vals["total_gold"] = m.stats[i, s, md.GOLD_STAT_INDEX]
+        for k, n in enumerate(md.STATE_ATTR_NAMES):
+            vals[f"state_{n}"] = m.state[i, s, k]
+        for k, n in enumerate(md.STAT_ATTR_NAMES):
+            vals[f"stat_{n}"] = m.stats[i, s, k]
+        for k, n in enumerate(md.TRACKED_ITEM_NAMES):
+            vals[f"item_{n}_owned"] = float(m.item_owned[i, s, k])
+            vals[f"item_{n}_cooldown"] = m.item_cooldown[i, s, k]
+        for a in range(md.N_ABILITY_SLOTS):
+            for k, n in enumerate(md.ABILITY_ATTR_NAMES):
+                vals[f"ability{a + 1}_{n}"] = m.abilities[i, s, a, k]
+        for k in range(m.roster_size):
+            vals[f"hero_id_{k}"] = float(k == m.hero_ids[s])
+        for age in range(N_VIS_FLAGS):
+            vals[f"visible_{age}s_ago"] = float(hist.vis_flags[s, age])
+        out[s] = [vals[name] for name in schema.names]
+
+    hist.initialized = True
+    hist.prev_game_time = t
+    hist.prev = current
+    return FrameFeatures(schema=schema, game_time=t, per_hero=out), hist

@@ -55,7 +55,8 @@ class TestOptionResolution:
 
 
     @pytest.mark.parametrize("var,value", [("SCHEMA", "bogus"), ("THREADS", "two"),
-                                           ("WINDOW_SECONDS", "soon")])
+                                           ("WINDOW_SECONDS", "soon"), ("WINDOW_SECONDS", "nan"),
+                                           ("PERIOD_TICKS", "0")])
     def test_bad_environment_value_is_usage_error(self, monkeypatch, capsys, var, value):
         monkeypatch.setenv(f"DEATHCAST_{var}", value)
         assert run_cli("schema-dump") == cli.EXIT_USAGE
@@ -63,13 +64,28 @@ class TestOptionResolution:
         assert len(err) == 1 and err[0].startswith("error\tkind=UsageError\texit=2\t")
 
     @pytest.mark.parametrize("line", ["schema=nope", "seed=five", "no equals sign",
-                                      "schmea=full"])
+                                      "schmea=full", "period_ticks=0"])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, line):
         conf = tmp_path / "opts.conf"
         conf.write_text(line + "\n")
         assert run_cli("schema-dump", "--config", str(conf)) == cli.EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error\tkind=UsageError\texit=2\t")
+
+    @pytest.mark.parametrize("argv", [
+        ["extract", "--store", "s", "--out", "o", "--period-ticks", "0"],
+        ["extract", "--store", "s", "--out", "o", "--drop-fraction", "1.5"],
+        ["predict", "--checkpoint", "c", "--match", "m", "--out", "o", "--period-ticks", "0"],
+        ["train", "--data", "d", "--out", "o", "--val-interval", "0"],
+        ["train", "--data", "d", "--out", "o", "--batch", "7"],
+        ["search", "--data", "d", "--out", "o", "--budget", "0"],
+    ], ids=lambda argv: " ".join([argv[0]] + argv[-2:]))
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)  # refused before any of these paths is read
+        assert run_cli(*argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error\tkind=UsageError\texit=2\t")
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +160,38 @@ class TestPipeline:
                        "--data", str(data), "--store", str(store),
                        "--report", str(stored)) == 0
         assert report.read_bytes() == stored.read_bytes()
+
+    def test_eval_match_dir_without_match_files_is_data_error(self, pipeline_dirs, tmp_path,
+                                                              capsys):
+        root, raw, store, data, run = pipeline_dirs
+        empty = tmp_path / "no_matches"
+        empty.mkdir()
+        (empty / "notes.txt").write_text("not a match file\n")
+        assert run_cli("eval", "--checkpoint", str(run / "checkpoint.dckpt"),
+                       "--data", str(data), "--store", str(store),
+                       "--match-dir", str(empty),
+                       "--report", str(tmp_path / "r.tsv")) == cli.EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error\tkind=SchemaViolation\texit=3\t")
+
+    def test_eval_ttd_scores_each_test_match_once(self, pipeline_dirs, tmp_path,
+                                                  monkeypatch):
+        root, raw, store, data, run = pipeline_dirs
+        from deathcast import evaluation as ev
+        from deathcast.dataset import DatasetManifest
+        scored = []
+        match_samples = ev.match_samples
+
+        def counted(m, *args, **kwargs):
+            scored.append(m.match_id)
+            return match_samples(m, *args, **kwargs)
+
+        monkeypatch.setattr(ev, "match_samples", counted)
+        assert run_cli("eval", "--checkpoint", str(run / "checkpoint.dckpt"),
+                       "--data", str(data), "--store", str(store),
+                       "--report", str(tmp_path / "r.tsv"), "--ttd", str(tmp_path / "t.tsv"),
+                       "--threads", "1") == 0
+        assert scored == list(DatasetManifest.load(data / "manifest.tsv").split.test)
 
     def test_eval_match_dir_takes_match_text_only(self, pipeline_dirs, tmp_path, capsys):
         root, raw, store, data, run = pipeline_dirs

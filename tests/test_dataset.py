@@ -50,6 +50,8 @@ class TestLabels:
         m = random_match(rng, with_pauses=False)
         with pytest.raises(NonPositiveWindow):
             ds.label_frames(m, 0.0)
+        with pytest.raises(NonPositiveWindow):
+            ds.label_frames(m, float("nan"))
 
     def test_requires_stripped(self, rng):
         m = random_match(rng, n_frames=20, with_pauses=True)
@@ -436,3 +438,25 @@ class TestBuildDataset:
         for shard in pool.shards:
             seen.update(int(k) for k in shard.match_keys)
         assert seen <= train_keys
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_provider_call_and_one_extraction_per_match(self, tmp_path, monkeypatch,
+                                                            threads):
+        cfg = sy.SynthConfig(n_frames=150, seed=4)
+        matches = [sy.generate_match(cfg, i) for i in range(6)]
+        calls = {"provider": 0, "extract": []}
+        extract = ft.extract_match
+
+        def provider():
+            calls["provider"] += 1
+            return iter(matches)
+
+        def counted_extract(m, *args, **kwargs):
+            calls["extract"].append(m.match_id)
+            return extract(m, *args, **kwargs)
+
+        monkeypatch.setattr(ft, "extract_match", counted_extract)
+        ds.build_dataset(provider, tmp_path, ft.feature_schema("minimal"), split_seed=1,
+                         threads=threads)
+        assert calls["provider"] == 1
+        assert sorted(calls["extract"]) == sorted(m.match_id for m in matches)

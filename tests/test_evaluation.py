@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from deathcast import evaluation as ev
+from deathcast import match_data as md
 from deathcast import model as mo
 from deathcast import synth as sy
 from deathcast import features as ft
+from deathcast.dataset import downsample
 from deathcast.errors import ConstantInput, LengthMismatch, NoPositives
 
 from oracles import brute_force_ap, brute_force_pr, brute_force_spearman_rho
@@ -188,7 +190,8 @@ class TestEvaluateTest:
 class TestTimeToDeath:
     def test_population_conservation(self, synth_setup):
         cfg, matches, stats, params = synth_setup
-        dist = ev.time_to_death_distribution(params, stats, matches, period_ticks=4)
+        report = ev.evaluate_test(params, stats, matches, period_ticks=4)
+        dist = ev.time_to_death_distribution(report.matches)
         total = sum(b.count for b in dist.bins)
         expected = sum(int(np.ceil(m.n_frames / 4)) * 10 for m in matches)
         assert total == expected
@@ -200,18 +203,45 @@ class TestTimeToDeath:
         never = [s for s in range(10) if len(m.deaths_for_slot(s)) == 0]
         if not never:
             pytest.skip("every hero died in this draw")
-        dist = ev.time_to_death_distribution(params, stats, [m], period_ticks=4)
+        report = ev.evaluate_test(params, stats, matches, period_ticks=4)
+        dist = ev.time_to_death_distribution(report.matches[:1])
         per_bin = sum(b.count for b in dist.bins[:-1])
         deaths_possible = sum(1 for s in range(10) if len(m.deaths_for_slot(s)))
         assert per_bin <= int(np.ceil(m.n_frames / 4)) * deaths_possible
 
     def test_writer(self, synth_setup, tmp_path):
         cfg, matches, stats, params = synth_setup
-        dist = ev.time_to_death_distribution(params, stats, matches[:1], period_ticks=4)
+        report = ev.evaluate_test(params, stats, matches, period_ticks=4)
+        dist = ev.time_to_death_distribution(report.matches[:1])
         ev.save_ttd_distribution(dist, tmp_path / "ttd.tsv")
         lines = (tmp_path / "ttd.tsv").read_text().splitlines()
         assert len(lines) == len(dist.bins)
         assert lines[0].split("\t")[0] == "0-1s"
+
+    def test_bins_equal_a_rescoring_reference(self, synth_setup):
+        # score each match again from its record, then bin every (sampled
+        # frame, slot) by the time to that slot's next death, one at a time
+        cfg, matches, stats, params = synth_setup
+        report = ev.evaluate_test(params, stats, matches, period_ticks=4)
+        dist = ev.time_to_death_distribution(report.matches, horizon=20.0)
+        expected = [[] for _ in range(21)]
+        for m in matches:
+            clean = md.strip_pauses(m)
+            feats, gt = ft.extract_match(clean, stats.schema, downsample(clean, 4))
+            probs = ev.predict_probs(params,
+                                     ft.normalize_array(feats, stats).astype(np.float32))
+            for s in range(10):
+                deaths = sorted(clean.deaths_for_slot(s))
+                for i, t in enumerate(gt):
+                    later = [d for d in deaths if d > t]
+                    delta = later[0] - t if later else np.inf
+                    b = min(max(int(np.ceil(delta)) - 1, 0), 19) if delta <= 20.0 else 20
+                    expected[b].append(probs[i, s])
+        assert [b.count for b in dist.bins] == [len(v) for v in expected]
+        for got, want in zip(dist.bins, expected):
+            assert np.array_equal(np.sort(got.probs), np.sort(want))
+            if want:
+                assert got.median == float(np.median(want))
 
 
 class TestTimeline:

@@ -7,15 +7,21 @@ from deathcast import match_data as md
 from deathcast.errors import DeathcastError, EmptyStream, SchemaMismatch
 
 from conftest import random_match
+from oracles import extract_frame, fresh_history
 
 
 def extract_sequential(m, schema, indices):
-    hist = ft.fresh_history()
+    hist = fresh_history()
     out = []
     for i in indices:
-        f, hist = ft.extract_frame(m, int(i), schema, hist)
+        f, hist = extract_frame(m, int(i), schema, hist)
         out.append(f.per_hero)
     return np.stack(out) if out else np.zeros((0, 10, schema.per_hero_count))
+
+
+def extract_one(m, schema, i):
+    """Frame i's (10, F) features, extracted as a match's only sample."""
+    return ft.extract_match(m, schema, [i])[0][0]
 
 
 class TestSchema:
@@ -50,36 +56,34 @@ class TestExtract:
         m.pos[0, 0] = (0.0, 0.0)  # slot 0, team A
         m.pos[0, 5] = (3.0, 4.0)  # slot 5, team B
         schema = ft.feature_schema("minimal")
-        f, _ = ft.extract_frame(m, 0, schema, ft.fresh_history())
+        f = extract_one(m, schema, 0)
         enemy_cols = slice(schema.index_of("enemy_proximity_1"), schema.index_of("enemy_proximity_5") + 1)
-        assert 5.0 in f.per_hero[0, enemy_cols]
-        assert 5.0 in f.per_hero[5, enemy_cols]
+        assert 5.0 in f[0, enemy_cols]
+        assert 5.0 in f[5, enemy_cols]
 
     def test_first_frame_changes_are_zero(self, rng):
         m = random_match(rng, n_frames=3)
         schema = ft.feature_schema("full")
-        f, _ = ft.extract_frame(m, 0, schema, ft.fresh_history())
+        f = extract_one(m, schema, 0)
         for name in schema.names:
             if name.endswith("_change"):
-                assert (f.per_hero[:, schema.index_of(name)] == 0).all()
+                assert (f[:, schema.index_of(name)] == 0).all()
 
     def test_change_is_per_second_difference(self, rng):
         m = random_match(rng, n_frames=2, with_towers=False)
         schema = ft.feature_schema("full")
-        hist = ft.fresh_history()
-        _, hist = ft.extract_frame(m, 0, schema, hist)
-        f1, _ = ft.extract_frame(m, 1, schema, hist)
+        feats, _ = ft.extract_match(m, schema, [0, 1])
         dt = m.game_time[1] - m.game_time[0]
         expect = (m.pos[1, :, 0] - m.pos[0, :, 0]) / dt
-        got = f1.per_hero[:, schema.index_of("pos_x_change")]
+        got = feats[1, :, schema.index_of("pos_x_change")]
         assert np.array_equal(got, expect)
 
     def test_onehot_single_bit(self, rng):
         m = random_match(rng, n_frames=1)
         schema = ft.feature_schema("full")
-        f, _ = ft.extract_frame(m, 0, schema, ft.fresh_history())
+        f = extract_one(m, schema, 0)
         lo = schema.index_of("hero_id_0")
-        block = f.per_hero[:, lo:lo + schema.roster_size]
+        block = f[:, lo:lo + schema.roster_size]
         assert (block.sum(axis=1) == 1).all()
         assert (block.argmax(axis=1) == m.hero_ids).all()
 
@@ -87,24 +91,24 @@ class TestExtract:
         m = random_match(rng, n_frames=1, roster_size=40)
         schema = ft.feature_schema("full", roster_size=130)
         with pytest.raises(SchemaMismatch):
-            ft.extract_frame(m, 0, schema, ft.fresh_history())
+            ft.extract_match(m, schema, [0])
 
     def test_ability_zero_padding(self, rng):
         m = random_match(rng, n_frames=1)
         m.ability_count[:] = 2
         m.abilities[:, :, 2:, :] = 0.0
         schema = ft.feature_schema("full")
-        f, _ = ft.extract_frame(m, 0, schema, ft.fresh_history())
+        f = extract_one(m, schema, 0)
         lo = schema.index_of("ability3_level")
-        assert (f.per_hero[:, lo:lo + 6 * 6] == 0).all()
+        assert (f[:, lo:lo + 6 * 6] == 0).all()
 
     def test_empty_tower_list_gives_zeros(self, rng):
         m = random_match(rng, n_frames=2, with_towers=False)
         m2 = m.replace(tower_team=np.zeros(0, dtype=np.int8), tower_pos=np.zeros((0, 2)),
                        tower_alive=np.zeros((2, 0), dtype=bool))
         schema = ft.feature_schema("minimal")
-        f, _ = ft.extract_frame(m2, 0, schema, ft.fresh_history())
-        assert (f.per_hero[:, schema.index_of("ally_tower_proximity")] == 0).all()
+        f = extract_one(m2, schema, 0)
+        assert (f[:, schema.index_of("ally_tower_proximity")] == 0).all()
         bulk, _ = ft.extract_match(m2, schema)
         assert (bulk[:, :, schema.index_of("enemy_tower_proximity")] == 0).all()
 
@@ -112,19 +116,19 @@ class TestExtract:
         m = random_match(rng, n_frames=2, with_towers=False)
         schema = ft.feature_schema("minimal")
         with caplog.at_level("WARNING"):
-            f, _ = ft.extract_frame(m, 0, schema, ft.fresh_history())
-        assert (f.per_hero[:, schema.index_of("ally_tower_proximity")] == 0).all()
+            f = extract_one(m, schema, 0)
+        assert (f[:, schema.index_of("ally_tower_proximity")] == 0).all()
         assert any("tower" in r.message for r in caplog.records)
 
     def test_proximities_sorted_ascending(self, rng):
         m = random_match(rng, n_frames=1)
         schema = ft.feature_schema("minimal")
-        f, _ = ft.extract_frame(m, 0, schema, ft.fresh_history())
+        f = extract_one(m, schema, 0)
         lo = schema.index_of("ally_proximity_1")
-        ally = f.per_hero[:, lo:lo + 4]
+        ally = f[:, lo:lo + 4]
         assert (np.diff(ally, axis=1) >= 0).all()
         lo = schema.index_of("enemy_proximity_1")
-        enemy = f.per_hero[:, lo:lo + 5]
+        enemy = f[:, lo:lo + 5]
         assert (np.diff(enemy, axis=1) >= 0).all()
 
 
@@ -132,7 +136,7 @@ class TestSlotPermutation:
     def test_team_consistent_permutation_permutes_outputs(self, rng):
         m = random_match(rng, n_frames=1, with_towers=True)
         schema = ft.feature_schema("medium")
-        f, _ = ft.extract_frame(m, 0, schema, ft.fresh_history())
+        f = extract_one(m, schema, 0)
 
         perm = np.r_[rng.permutation(5), 5 + rng.permutation(5)]
         # new slot k holds the hero of old slot perm[k]
@@ -140,8 +144,7 @@ class TestSlotPermutation:
                         if shape[:2] == ("frames", md.N_HEROES)}
         m2 = m.replace(match_id="perm", hero_ids=m.hero_ids[perm],
                        death_slot=np.argsort(perm)[m.death_slot], **hero_columns)
-        f2, _ = ft.extract_frame(m2, 0, schema, ft.fresh_history())
-        assert np.array_equal(f2.per_hero, f.per_hero[perm])
+        assert np.array_equal(extract_one(m2, schema, 0), f[perm])
 
 
 class TestBulkEqualsSequential:
@@ -168,11 +171,9 @@ class TestBulkEqualsSequential:
 
 
 class TestNormalization:
-    def test_single_frame_constant(self, rng):
-        m = random_match(rng, n_frames=1)
+    def test_single_frame_constant(self):
         schema = ft.feature_schema("minimal")
-        f, _ = ft.extract_frame(m, 0, schema, ft.fresh_history())
-        const = np.full_like(f.per_hero, 3.5)
+        const = np.full((10, 15), 3.5)
         stats = ft.compute_norm_stats([const], schema=schema)
         assert (stats.mins == 3.5).all() and (stats.maxs == 3.5).all()
 
@@ -190,16 +191,6 @@ class TestNormalization:
         flat = np.concatenate([b.reshape(-1, 15) for b in blocks])
         assert np.array_equal(stats.mins, flat.min(axis=0))
         assert np.array_equal(stats.maxs, flat.max(axis=0))
-
-    def test_merge_is_pooled(self, rng):
-        schema = ft.feature_schema("minimal")
-        a = rng.normal(size=(4, 10, 15))
-        b = rng.normal(size=(6, 10, 15))
-        merged = ft.merge_norm_stats(ft.compute_norm_stats([a], schema=schema),
-                                     ft.compute_norm_stats([b], schema=schema))
-        pooled = ft.compute_norm_stats([a, b], schema=schema)
-        assert np.array_equal(merged.mins, pooled.mins)
-        assert np.array_equal(merged.maxs, pooled.maxs)
 
     def test_empty_stream(self):
         with pytest.raises(EmptyStream):
@@ -241,18 +232,6 @@ class TestNormalization:
         stats = ft.compute_norm_stats([feats], schema=schema)
         out = ft.normalize_array(feats, stats)
         assert out.min() >= 0.0 and out.max() <= 1.0
-
-    def test_normalize_wrapper_checks_schema(self, rng):
-        m = random_match(rng, n_frames=1)
-        f, _ = ft.extract_frame(m, 0, ft.feature_schema("minimal"), ft.fresh_history())
-        other = ft.feature_schema("medium")
-        stats = ft.NormalizationStats(other, mins=np.zeros(109), maxs=np.ones(109))
-        with pytest.raises(SchemaMismatch):
-            ft.normalize(f, stats)
-        good = ft.NormalizationStats(f.schema, mins=np.zeros(15), maxs=np.ones(15))
-        out = ft.normalize(f, good)
-        assert out.schema == f.schema
-        assert np.array_equal(out.per_hero, ft.normalize_array(f.per_hero, good))
 
     def test_stats_file_round_trip(self, rng, tmp_path):
         schema = ft.feature_schema("medium")
