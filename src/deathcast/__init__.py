@@ -24,8 +24,7 @@ from .model import (AdamState, ForwardTrace, GradCheckReport, ModelConfig, Model
                     adam_step, default_config, forward, gradient_check, init_adam,
                     init_params, load_checkpoint, loss_and_grad, save_checkpoint,
                     small_check_config)
-from .synth import (SynthConfig, bayes_ap, bayes_probability, bayes_scores,
-                    expected_death_count, generate_match, generator_hash)
+from .synth import SynthConfig, bayes_ap, bayes_scores, generate_match, generator_hash
 # the train() entry point stays on its module (deathcast.train.train) so the
 # submodule name is not shadowed at package level
 from .train import SearchSpace, TrainResult, TrainRunConfig, random_search

@@ -10,6 +10,7 @@ positive labels, 5 I/O failure; on failure a single machine-parseable
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from .errors import DeathcastError, InsufficientPositives, SchemaViolation, Usag
 from .evaluation import (evaluate_test, export_timeline, save_eval_report,
                          save_timeline, save_ttd_distribution, time_to_death_distribution)
 from .model import ModelConfig, default_config, load_checkpoint
-from .util import ordered_map, read_text, write_atomic, write_lines
+from .util import ordered_process_map, read_text, write_lines
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -147,6 +148,15 @@ def cmd_schema_dump(args, opt):
     return 0
 
 
+def _synth_file(job):
+    """Worker: generate match i of a config and save it under out; returns
+    its match id."""
+    cfg, i, out, compress = job
+    m = sy.generate_match(cfg, i)
+    md.save_match(m, out / f"match_{i:05d}.jsonl", compress=compress)
+    return m.match_id
+
+
 def cmd_synth(args, opt):
     cfg = sy.SynthConfig(n_matches=args.matches, n_frames=args.frames,
                          seed=opt.seed, pause_count=args.pauses,
@@ -155,14 +165,8 @@ def cmd_synth(args, opt):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     sy.save_synth_sidecar(cfg, out / "synth_config.tsv")
-
-    def gen_and_save(i):
-        m = sy.generate_match(cfg, i)
-        path = out / f"match_{i:05d}.jsonl"
-        md.save_match(m, path, compress=args.compress)
-        return m.match_id
-
-    ids = ordered_map(gen_and_save, range(cfg.n_matches), opt.threads)
+    jobs = [(cfg, i, out, args.compress) for i in range(cfg.n_matches)]
+    ids = list(ordered_process_map(_synth_file, jobs, opt.threads))
     print(f"wrote {len(ids)} matches to {out}")
     return 0
 
@@ -213,9 +217,36 @@ def _check_store_name(match_id):
         raise SchemaViolation(f"match id {match_id!r} cannot name a store file")
 
 
+def _ingest_file(job):
+    """Worker: read, parse, check and encode the i-th match file, and write
+    its record and validated text (gunzipped) to <out>/.ingest-<i>.dmatch.tmp
+    and .ingest-<i>.jsonl.tmp. Returns the DeathcastError that rejects the
+    file, or (match_id, roster_size, n_frames, encoding error or None); the
+    caller reports an encoding error only after its duplicate and roster
+    checks."""
+    i, path, out = job
+    try:
+        raw = path.read_bytes()
+        m = md.parse_match(raw)
+        _check_store_name(m.match_id)
+    except DeathcastError as exc:
+        return exc
+    try:
+        record = md.encode_match(m)
+    except DeathcastError as exc:
+        return m.match_id, m.roster_size, m.n_frames, exc
+    (out / f".ingest-{i}.dmatch.tmp").write_bytes(record)
+    (out / f".ingest-{i}.jsonl.tmp").write_bytes(md.gunzip(raw))
+    return m.match_id, m.roster_size, m.n_frames, None
+
+
 def cmd_ingest(args, opt):
     """Parse and validate each match file once; store it as a binary record
-    (what extract and eval read) beside the validated text, uncompressed."""
+    (what extract and eval read) beside the validated text, uncompressed.
+
+    Files are parsed by `--threads` worker processes; the checks that
+    depend on the files before (duplicate ids, the roster of the first
+    accepted match) run here, in file order."""
     src = Path(args.matches)
     files = _match_files(src)
     out = Path(args.out)
@@ -224,27 +255,35 @@ def cmd_ingest(args, opt):
     rejected = 0
     seen = set()
     roster = None
-    for p in files:
-        try:
-            raw = p.read_bytes()
-            m = md.parse_match(raw)
-            _check_store_name(m.match_id)
-            if m.match_id in seen:
-                raise SchemaViolation(f"duplicate match id {m.match_id}")
-            if roster is not None and m.roster_size != roster:
-                raise SchemaViolation(f"roster_size {m.roster_size} differs from the "
-                                      f"first accepted match's {roster}")
-            record = md.encode_match(m)
-        except DeathcastError as exc:
-            print(f"reject\t{p.name}\t{exc}", file=sys.stderr)
-            rejected += 1
-            continue
-        seen.add(m.match_id)
-        roster = m.roster_size
-        rel = f"{m.match_id}.dmatch"
-        write_atomic(out / rel, record)
-        write_atomic(out / f"{m.match_id}.jsonl", md.gunzip(raw))
-        lines.append(f"{m.match_id}\t{rel}\t{m.n_frames}")
+    jobs = [(i, p, out) for i, p in enumerate(files)]
+    try:
+        with contextlib.closing(ordered_process_map(_ingest_file, jobs, opt.threads)) as results:
+            for (i, p, _), result in zip(jobs, results):
+                try:
+                    if isinstance(result, DeathcastError):
+                        raise result
+                    match_id, roster_size, n_frames, error = result
+                    if match_id in seen:
+                        raise SchemaViolation(f"duplicate match id {match_id}")
+                    if roster is not None and roster_size != roster:
+                        raise SchemaViolation(f"roster_size {roster_size} differs from the "
+                                              f"first accepted match's {roster}")
+                    if error is not None:
+                        raise error
+                except DeathcastError as exc:
+                    print(f"reject\t{p.name}\t{exc}", file=sys.stderr)
+                    rejected += 1
+                    continue
+                seen.add(match_id)
+                roster = roster_size
+                rel = f"{match_id}.dmatch"
+                os.replace(out / f".ingest-{i}.dmatch.tmp", out / rel)
+                os.replace(out / f".ingest-{i}.jsonl.tmp", out / f"{match_id}.jsonl")
+                lines.append(f"{match_id}\t{rel}\t{n_frames}")
+    finally:
+        # after the workers are joined, so none still writes a temporary
+        for tmp in out.glob(".ingest-*"):
+            tmp.unlink(missing_ok=True)
     if not lines:
         raise SchemaViolation(f"every match under {src} was rejected")
     write_lines(_store_manifest_path(out), [f"roster_size\t{roster}", *lines])

@@ -13,8 +13,13 @@ class MalformedRecord(DeathcastError):
     """A match file line is not syntactically valid; carries the line number."""
 
     def __init__(self, line_no, message):
-        super().__init__(f"line {line_no}: {message}")
+        # both arguments stay in args, so pickling (a worker process handing
+        # the error back) rebuilds it with the same class and text
+        super().__init__(line_no, message)
         self.line_no = line_no
+
+    def __str__(self):
+        return f"line {self.args[0]}: {self.args[1]}"
 
 
 class SchemaViolation(DeathcastError):

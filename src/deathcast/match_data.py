@@ -41,7 +41,7 @@ import struct
 import sys
 import zlib
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 
 import numpy as np
@@ -576,25 +576,36 @@ def _validated(m):
 # Writing
 
 
-def _hero_obj(m, i, s):
-    owned = np.flatnonzero(m.item_owned[i, s])
-    k = int(m.ability_count[i, s])
-    return {
-        "slot": s,
-        "hero_id": int(m.hero_ids[s]),
-        "alive": bool(m.alive[i, s]),
-        "health": float(m.health[i, s]),
-        "max_health": float(m.max_health[i, s]),
-        "mana": float(m.mana[i, s]),
-        "max_mana": float(m.max_mana[i, s]),
-        "pos_x": float(m.pos[i, s, 0]),
-        "pos_y": float(m.pos[i, s, 1]),
-        "visible_to_enemy": bool(m.visible[i, s]),
-        "state_attrs": m.state[i, s].tolist(),
-        "stat_attrs": m.stats[i, s].tolist(),
-        "items": [[int(j), float(m.item_cooldown[i, s, j])] for j in owned],
-        "abilities": m.abilities[i, s, :k].tolist(),
-    }
+def _runs(flat, lengths):
+    """flat, cut into consecutive lists of the given lengths."""
+    it = iter(flat)
+    return [list(islice(it, k)) for k in lengths]
+
+
+def _hero_objs(m, rows):
+    """The hero objects of the frames in a slice, [frame][slot]. Each column
+    is read once with tolist(), so the values are Python numbers already;
+    items and abilities are read only where owned and present."""
+    cols = [m.alive, m.health, m.max_health, m.mana, m.max_mana, m.pos[..., 0],
+            m.pos[..., 1], m.visible, m.state, m.stats]
+    cols = [c[rows].tolist() for c in cols]
+    owned, count = m.item_owned[rows], m.ability_count[rows]
+    # json writes an (id, cooldown) tuple as a two-element array
+    items = _runs(zip(np.nonzero(owned)[2].tolist(), m.item_cooldown[rows][owned].tolist()),
+                  owned.sum(axis=2).ravel().tolist())
+    present = np.arange(N_ABILITY_SLOTS) < count[..., None]
+    abilities = _runs(m.abilities[rows][present].tolist(), count.ravel().tolist())
+    hero_ids = m.hero_ids.tolist()
+    return [
+        [{"slot": s, "hero_id": hero_ids[s], "alive": alive[s], "health": health[s],
+          "max_health": max_health[s], "mana": mana[s], "max_mana": max_mana[s],
+          "pos_x": pos_x[s], "pos_y": pos_y[s], "visible_to_enemy": visible[s],
+          "state_attrs": state[s], "stat_attrs": stats[s],
+          "items": items[f * N_HEROES + s], "abilities": abilities[f * N_HEROES + s]}
+         for s in range(N_HEROES)]
+        for f, (alive, health, max_health, mana, max_mana, pos_x, pos_y, visible, state,
+                stats) in enumerate(zip(*cols))
+    ]
 
 
 def write_match(m: MatchRecord) -> bytes:
@@ -605,27 +616,24 @@ def write_match(m: MatchRecord) -> bytes:
     """
     out = io.StringIO()
     # json.dumps runs the C encoder; json.dump streams through the Python one
-    dump = lambda obj: out.write(json.dumps(obj, separators=(",", ":")))  # noqa: E731
+    dump = lambda obj: out.write(json.dumps(obj, separators=(",", ":")) + "\n")  # noqa: E731
     dump({"match_id": m.match_id, "tick_interval": m.tick_interval,
           "roster_size": m.roster_size, "hero_ids": m.hero_ids.tolist()})
-    out.write("\n")
-    for i in range(m.n_frames):
-        obj = {
-            "tick": int(m.tick[i]),
-            "game_time": float(m.game_time[i]),
-            "paused": bool(m.paused[i]),
-            "heroes": [_hero_obj(m, i, s) for s in range(N_HEROES)],
-        }
-        if m.has_towers:
-            obj["towers"] = [
-                {"team": int(t), "x": float(p[0]), "y": float(p[1]), "alive": bool(a)}
-                for t, p, a in zip(m.tower_team, m.tower_pos, m.tower_alive[i])
-            ]
-        dump(obj)
-        out.write("\n")
-    dump({"deaths": [{"slot": int(s), "time": float(t)}
-                     for s, t in zip(m.death_slot, m.death_time)]})
-    out.write("\n")
+    if m.has_towers:
+        towers = [(t, x, y) for t, (x, y) in zip(m.tower_team.tolist(), m.tower_pos.tolist())]
+    # a block of frames at a time bounds the Python objects held at once
+    for start in range(0, m.n_frames, _FRAME_BLOCK):
+        rows = slice(start, start + _FRAME_BLOCK)
+        frames = zip(m.tick[rows].tolist(), m.game_time[rows].tolist(),
+                     m.paused[rows].tolist(), _hero_objs(m, rows))
+        for k, (tick, game_time, paused, heroes) in enumerate(frames):
+            obj = {"tick": tick, "game_time": game_time, "paused": paused, "heroes": heroes}
+            if m.has_towers:
+                obj["towers"] = [{"team": t, "x": x, "y": y, "alive": a} for (t, x, y), a
+                                 in zip(towers, m.tower_alive[start + k].tolist())]
+            dump(obj)
+    dump({"deaths": [{"slot": s, "time": t}
+                     for s, t in zip(m.death_slot.tolist(), m.death_time.tolist())]})
     return out.getvalue().encode("utf-8")
 
 

@@ -25,7 +25,7 @@ Under those rules the probability of dying inside a window, conditioned
 on one frame, is closed-form: a survival product over the window's ticks
 with the health term rolled forward from the frame (alive case), or that
 product averaged over the geometric respawn tick (dead case). This is
-what `bayes_probability` computes, and a Monte-Carlo re-simulation of the
+what `bayes_scores` computes, and a Monte-Carlo re-simulation of the
 death and respawn coins must agree with it up to sampling noise. No
 gameplay realism is attempted; the generator exists to make learning
 quality measurable.
@@ -502,15 +502,6 @@ def bayes_scores(cfg, m, window=5.0, indices=None):
     return out
 
 
-def bayes_probability(cfg, m, frame_index, slot, window=5.0) -> float:
-    """Scalar form of bayes_scores for one (frame, slot)."""
-    if not 0 <= frame_index < m.n_frames:
-        raise IndexError(f"frame index {frame_index} out of range")
-    if not 0 <= slot < md.N_HEROES:
-        raise IndexError(f"slot {slot} out of range")
-    return float(bayes_scores(cfg, m, window=window, indices=[frame_index])[0, slot])
-
-
 def bayes_ap(cfg, matches, window=5.0, period_ticks=4) -> float:
     """Average precision of the exact oracle on realized labels.
 
@@ -525,51 +516,3 @@ def bayes_ap(cfg, matches, window=5.0, period_ticks=4) -> float:
         labels.append(label_frames(m, window=window)[idx].ravel())
     curve = pr_curve(np.concatenate(scores), np.concatenate(labels))
     return average_precision(curve)
-
-
-def expected_death_count(cfg, m) -> float:
-    """Analytic expected number of deaths on the realized driver trajectory.
-
-    Forward evolution of the exact alive-state mixture: alive probability
-    mass is partitioned by current live health (health paths from
-    different respawn ticks merge once the clip bounds coincide), dead
-    mass respawns at the geometric rate into the full-health branch.
-    Mirrors the generator's per-tick order (respawn, death coin, health
-    roll).
-    """
-    _require_synth(cfg, m)
-    n = m.n_frames
-    dt = m.tick_interval
-    p_r = _respawn_prob(cfg, dt)
-    pre, rate = _match_drivers(cfg, m)
-    total = 0.0
-    for s in range(md.N_HEROES):
-        h_vals = np.array([cfg.max_health])
-        mass = np.array([1.0])
-        dead = 0.0
-        for k in range(n - 1):
-            reborn = dead * p_r
-            dead -= reborn
-            if reborn > 0:
-                at_full = h_vals == cfg.max_health
-                if at_full.any():
-                    mass = mass.copy()
-                    mass[at_full] += reborn
-                else:
-                    h_vals = np.append(h_vals, cfg.max_health)
-                    mass = np.append(mass, reborn)
-            lam = _health_lam(cfg, pre[k, s], h_vals)
-            die = mass * lam
-            total += die.sum()
-            dead += die.sum()
-            mass = mass - die
-            h_vals = _roll_health(cfg, h_vals, rate[k, s], dt)
-            uniq, inv = np.unique(h_vals, return_inverse=True)
-            if len(uniq) != len(h_vals):
-                merged = np.zeros(len(uniq))
-                np.add.at(merged, inv, mass)
-                h_vals, mass = uniq, merged
-            keep = mass > 1e-15
-            if not keep.all():
-                h_vals, mass = h_vals[keep], mass[keep]
-    return float(total)

@@ -1,12 +1,13 @@
 """Small shared helpers: stable hashing, binary framing, atomic writes,
-text reads, deterministic parallel map."""
+text reads, deterministic parallel maps on threads and on processes."""
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -100,3 +101,28 @@ def ordered_map(fn, items, threads=1):
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
+
+
+def ordered_process_map(fn, items, processes=1):
+    """Yield fn(item) for each item, in input order.
+
+    processes > 1 runs fn in that many forked worker processes, so fn must
+    be a module-level function whose items and results pickle; keep both
+    small, and have a worker write its large outputs itself. Forking is
+    safe only while this process runs no other threads, as the CLI's synth
+    and ingest do not. When the generator ends or is closed (close it, as
+    contextlib.closing does, when the loop over it may stop early), items
+    not yet started are dropped, and it returns once the running ones are
+    done and the workers have exited. processes <= 1 applies fn in this
+    process.
+    """
+    items = list(items)
+    if processes <= 1 or len(items) <= 1:
+        yield from map(fn, items)
+        return
+    pool = ProcessPoolExecutor(min(processes, len(items)),
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield from pool.map(fn, items)
+    finally:
+        pool.shutdown(cancel_futures=True)

@@ -4,12 +4,15 @@ These deliberately avoid numpy vectorization tricks and share no code with
 the package paths they check.
 """
 
+import io
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from deathcast import match_data as md
+from deathcast import synth as sy
 
 
 def brute_force_labels(m, window):
@@ -213,3 +216,119 @@ def extract_frame(m, frame_index, schema, hist):
     hist.prev_game_time = t
     hist.prev = current
     return FrameFeatures(schema=schema, game_time=t, per_hero=out), hist
+
+
+# ---------------------------------------------------------------------------
+# Per-element match writer: the reference for match_data.write_match
+
+
+def _reference_hero_obj(m, i, s):
+    owned = np.flatnonzero(m.item_owned[i, s])
+    k = int(m.ability_count[i, s])
+    return {
+        "slot": s,
+        "hero_id": int(m.hero_ids[s]),
+        "alive": bool(m.alive[i, s]),
+        "health": float(m.health[i, s]),
+        "max_health": float(m.max_health[i, s]),
+        "mana": float(m.mana[i, s]),
+        "max_mana": float(m.max_mana[i, s]),
+        "pos_x": float(m.pos[i, s, 0]),
+        "pos_y": float(m.pos[i, s, 1]),
+        "visible_to_enemy": bool(m.visible[i, s]),
+        "state_attrs": m.state[i, s].tolist(),
+        "stat_attrs": m.stats[i, s].tolist(),
+        "items": [[int(j), float(m.item_cooldown[i, s, j])] for j in owned],
+        "abilities": m.abilities[i, s, :k].tolist(),
+    }
+
+
+def reference_write_match(m):
+    """The canonical line-delimited bytes of a record, one frame and one
+    hero at a time, reading each value as a numpy scalar."""
+    out = io.StringIO()
+    dump = lambda obj: out.write(json.dumps(obj, separators=(",", ":")))  # noqa: E731
+    dump({"match_id": m.match_id, "tick_interval": m.tick_interval,
+          "roster_size": m.roster_size, "hero_ids": m.hero_ids.tolist()})
+    out.write("\n")
+    for i in range(m.n_frames):
+        obj = {
+            "tick": int(m.tick[i]),
+            "game_time": float(m.game_time[i]),
+            "paused": bool(m.paused[i]),
+            "heroes": [_reference_hero_obj(m, i, s) for s in range(md.N_HEROES)],
+        }
+        if m.has_towers:
+            obj["towers"] = [
+                {"team": int(t), "x": float(p[0]), "y": float(p[1]), "alive": bool(a)}
+                for t, p, a in zip(m.tower_team, m.tower_pos, m.tower_alive[i])
+            ]
+        dump(obj)
+        out.write("\n")
+    dump({"deaths": [{"slot": int(s), "time": float(t)}
+                     for s, t in zip(m.death_slot, m.death_time)]})
+    out.write("\n")
+    return out.getvalue().encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# Synthetic-oracle forms the package does not need. Both are built on the
+# generator's own hazard helpers: the tests check them against Monte-Carlo
+# re-simulation and against the realized death counts.
+
+
+def bayes_probability(cfg, m, frame_index, slot, window=5.0) -> float:
+    """Scalar form of synth.bayes_scores for one (frame, slot)."""
+    if not 0 <= frame_index < m.n_frames:
+        raise IndexError(f"frame index {frame_index} out of range")
+    if not 0 <= slot < md.N_HEROES:
+        raise IndexError(f"slot {slot} out of range")
+    return float(sy.bayes_scores(cfg, m, window=window, indices=[frame_index])[0, slot])
+
+
+def expected_death_count(cfg, m) -> float:
+    """Analytic expected number of deaths on the realized driver trajectory.
+
+    Forward evolution of the exact alive-state mixture: alive probability
+    mass is partitioned by current live health (health paths from
+    different respawn ticks merge once the clip bounds coincide), dead
+    mass respawns at the geometric rate into the full-health branch.
+    Mirrors the generator's per-tick order (respawn, death coin, health
+    roll).
+    """
+    sy._require_synth(cfg, m)
+    n = m.n_frames
+    dt = m.tick_interval
+    p_r = sy._respawn_prob(cfg, dt)
+    pre, rate = sy._match_drivers(cfg, m)
+    total = 0.0
+    for s in range(md.N_HEROES):
+        h_vals = np.array([cfg.max_health])
+        mass = np.array([1.0])
+        dead = 0.0
+        for k in range(n - 1):
+            reborn = dead * p_r
+            dead -= reborn
+            if reborn > 0:
+                at_full = h_vals == cfg.max_health
+                if at_full.any():
+                    mass = mass.copy()
+                    mass[at_full] += reborn
+                else:
+                    h_vals = np.append(h_vals, cfg.max_health)
+                    mass = np.append(mass, reborn)
+            lam = sy._health_lam(cfg, pre[k, s], h_vals)
+            die = mass * lam
+            total += die.sum()
+            dead += die.sum()
+            mass = mass - die
+            h_vals = sy._roll_health(cfg, h_vals, rate[k, s], dt)
+            uniq, inv = np.unique(h_vals, return_inverse=True)
+            if len(uniq) != len(h_vals):
+                merged = np.zeros(len(uniq))
+                np.add.at(merged, inv, mass)
+                h_vals, mass = uniq, merged
+            keep = mass > 1e-15
+            if not keep.all():
+                h_vals, mass = h_vals[keep], mass[keep]
+    return float(total)

@@ -1,5 +1,6 @@
 import gzip
 import json
+import multiprocessing
 import re
 import shutil
 import subprocess
@@ -418,6 +419,85 @@ class TestIngest:
         rc = run_cli("ingest", "--matches", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "s"))
         assert rc == cli.EXIT_IO
+
+
+def tree(root):
+    """{relative path: bytes} of every file under root."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def leftovers(root):
+    return [p for p in root.rglob("*") if p.name.endswith(".tmp") or p.name.startswith(".ingest-")]
+
+
+class TestWorkerProcesses:
+    """synth and ingest give the same files and messages in-process
+    (--threads 1) and on forked workers (--threads 2), and leave neither
+    worker processes nor temporaries behind."""
+
+    def run_both(self, capsys, *argv):
+        """(exit code, stdout, stderr) at --threads 1 and 2; argv's "{out}"
+        becomes a directory per thread count."""
+        got = []
+        for threads in ("1", "2"):
+            name = f"out{threads}"
+            rc = run_cli(*[a.replace("{out}", name) for a in argv], "--threads", threads)
+            out, err = capsys.readouterr()
+            assert multiprocessing.active_children() == []
+            got.append((rc, out.replace(name, "{out}"), err.replace(name, "{out}")))
+        assert got[0] == got[1]
+        return got[0]
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_same_trees_at_one_and_two(self, tmp_path, monkeypatch, capsys, compress):
+        monkeypatch.chdir(tmp_path)
+        flag = ["--compress"] if compress else []
+        self.run_both(capsys, "synth", "--out", "{out}/raw", "--matches", "5",
+                      "--frames", "90", "--seed", "3", "--pauses", "1", *flag)
+        self.run_both(capsys, "ingest", "--matches", "{out}/raw", "--out", "{out}/store")
+        assert tree(tmp_path / "out1") == tree(tmp_path / "out2")
+        assert len(cli.read_store(tmp_path / "out1" / "store")) == 5
+        assert leftovers(tmp_path) == []
+
+    def test_same_messages_on_rejects(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        cfg = sy.SynthConfig(n_matches=4, n_frames=60, seed=8)
+        good = [sy.generate_match(cfg, i) for i in range(3)]
+        md.save_match(good[0], raw / "a.jsonl")
+        md.save_match(good[0], raw / "b_duplicate.jsonl.gz")
+        lines = md.write_match(good[1]).decode().splitlines()
+        lines[0] = lines[0].replace('"roster_size":130', '"roster_size":200')
+        (raw / "c_roster.jsonl").write_text("\n".join(lines) + "\n")
+        (raw / "d_malformed.jsonl").write_text("{broken\n")
+        lines = md.write_match(sy.generate_match(cfg, 3)).decode().splitlines()
+        head = json.loads(lines[0])
+        head["match_id"] = "a/b"
+        (raw / "e_badname.jsonl").write_text("\n".join([json.dumps(head), *lines[1:]]) + "\n")
+        md.save_match(good[2], raw / "f.jsonl")
+        rc, out, err = self.run_both(capsys, "ingest", "--matches", "raw", "--out", "{out}")
+        assert rc == 0 and out == "ingested 2 matches (4 rejected) into {out}\n"
+        assert [ln.split("\t")[1] for ln in err.splitlines()] == [
+            "b_duplicate.jsonl.gz", "c_roster.jsonl", "d_malformed.jsonl", "e_badname.jsonl"]
+        assert tree(tmp_path / "out1") == tree(tmp_path / "out2")
+        assert leftovers(tmp_path) == []
+
+    def test_nothing_left_after_failures(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "bad.jsonl").write_text("{broken\n")
+        rc, _, err = self.run_both(capsys, "ingest", "--matches", "raw", "--out", "{out}")
+        assert rc == cli.EXIT_DATA and "error\tkind=SchemaViolation" in err
+        cfg = sy.SynthConfig(n_matches=3, n_frames=60, seed=8)
+        for i, name in enumerate(("a", "c", "z")):
+            md.save_match(sy.generate_match(cfg, i), raw / f"{name}.jsonl")
+        (raw / "x.jsonl").mkdir()  # read after c and before z
+        rc, _, err = self.run_both(capsys, "ingest", "--matches", "raw", "--out", "{out}")
+        assert rc == cli.EXIT_IO
+        assert err.splitlines()[-1].startswith("error\tkind=IsADirectoryError\texit=5\t")
+        assert leftovers(tmp_path) == []
 
 
 class TestDeterminism:

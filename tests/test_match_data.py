@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from deathcast import match_data as md
+from deathcast import synth as sy
 from deathcast.errors import (ChecksumMismatch, DeathcastError, EmptyMatch, MalformedRecord,
                               SchemaViolation, VersionMismatch)
 
 from conftest import header_mutations, random_match, reseal
+from oracles import reference_write_match
 
 
 def minimal_lines(n_frames=1, deaths=()):
@@ -294,6 +296,22 @@ class TestRoundTrip:
             m2 = md.parse_match(raw)
             assert m2 == m
             assert md.write_match(m2) == raw
+
+    def test_writer_matches_per_element_reference(self, rng):
+        cases = []
+        for towers in (True, False):
+            for pauses in (True, False):
+                m = random_match(rng, n_frames=40, with_towers=towers, with_pauses=pauses)
+                shape = m.ability_count.shape
+                cases += [m,
+                          m.replace(ability_count=np.zeros(shape),
+                                    item_owned=np.zeros_like(m.item_owned)),
+                          m.replace(ability_count=np.full(shape, md.N_ABILITY_SLOTS),
+                                    death_slot=[], death_time=[])]
+        cfg = sy.SynthConfig(n_frames=90, seed=4, pause_count=2, pause_length_ticks=10)
+        cases += [sy.generate_match(cfg, i) for i in range(2)]
+        for m in cases:
+            assert md.write_match(m) == reference_write_match(m)
 
     def test_writes_are_deterministic(self, rng):
         m = random_match(rng)

@@ -8,6 +8,8 @@ from deathcast.errors import ForeignMatch, InvalidConfig, NoPositives
 from deathcast.evaluation import average_precision, pr_curve
 from deathcast.synth import (_health_lam, _match_drivers, _respawn_prob, _roll_health)
 
+from oracles import bayes_probability, expected_death_count
+
 
 def small_cfg(**kw):
     base = dict(n_frames=500, seed=17)
@@ -78,7 +80,7 @@ class TestGenerate:
         for i in range(25):
             m = sy.generate_match(cfg, 1000 + i)
             total += len(m.deaths)
-            expected += sy.expected_death_count(cfg, m)
+            expected += expected_death_count(cfg, m)
         sigma = np.sqrt(expected)
         assert abs(total - expected) <= 3 * sigma, (total, expected)
 
@@ -89,7 +91,7 @@ class TestBayesProbability:
                         hazard_enemies_near=0.0, hazard_enemy_tower=0.0,
                         hazard_visibility=0.0)
         m = sy.generate_match(cfg, 0)
-        assert sy.bayes_probability(cfg, m, 100, 3) < 1e-20
+        assert bayes_probability(cfg, m, 100, 3) < 1e-20
 
     def test_in_unit_interval_and_monotone_in_window(self):
         cfg = small_cfg()
@@ -97,7 +99,7 @@ class TestBayesProbability:
         for frame, slot in ((50, 0), (200, 5), (400, 9)):
             prev = 0.0
             for w in (1.0, 3.0, 5.0, 8.0):
-                p = sy.bayes_probability(cfg, m, frame, slot, window=w)
+                p = bayes_probability(cfg, m, frame, slot, window=w)
                 assert 0.0 <= p <= 1.0
                 assert p >= prev - 1e-15
                 prev = p
@@ -107,7 +109,7 @@ class TestBayesProbability:
         other = small_cfg(seed=99)
         m = sy.generate_match(other, 0)
         with pytest.raises(ForeignMatch):
-            sy.bayes_probability(cfg, m, 0, 0)
+            bayes_probability(cfg, m, 0, 0)
 
     def test_scalar_equals_bulk(self):
         cfg = small_cfg()
@@ -116,7 +118,7 @@ class TestBayesProbability:
         bulk = sy.bayes_scores(cfg, m, window=5.0, indices=idx)
         for row, frame in enumerate(idx):
             for slot in range(10):
-                one = sy.bayes_probability(cfg, m, frame, slot, window=5.0)
+                one = bayes_probability(cfg, m, frame, slot, window=5.0)
                 assert abs(one - bulk[row, slot]) < 1e-12
 
     def test_monte_carlo_agreement(self, rng):
@@ -135,7 +137,7 @@ class TestBayesProbability:
                     if 50 < i < 600][:2]
         cases = [(60, 0), (300, 7)] + live_low + dead_cases
         for frame, slot in cases:
-            p = sy.bayes_probability(cfg, m, frame, slot, window=W)
+            p = bayes_probability(cfg, m, frame, slot, window=W)
             b = int(np.searchsorted(t, t[frame] + W - dt / 2.0, side="right"))
             al = np.full(n_roll, bool(m.alive[frame, slot]))
             h = np.full(n_roll, m.health[frame, slot] if m.alive[frame, slot]
