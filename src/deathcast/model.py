@@ -11,7 +11,7 @@ framework, no GPU.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,14 +33,10 @@ DEFAULT_HYPERPARAMS = {
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 
-
-def _named_arrays(stacks):
-    """(name, array) pairs of parameters or gradients, serialization order."""
-    for prefix in ("encoder", "head"):
-        ws, bs = getattr(stacks, f"{prefix}_w"), getattr(stacks, f"{prefix}_b")
-        for i, (w, b) in enumerate(zip(ws, bs)):
-            yield f"{prefix}_w{i}", w
-            yield f"{prefix}_b{i}", b
+# Elements per block of the Adam update: a block's six operands (parameters,
+# gradient, two moments, two scratch blocks; 1.5 MB in float32) stay in
+# cache across the update's 14 passes over them.
+ADAM_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -78,50 +74,82 @@ def default_config(variant, roster_size=130, **overrides) -> ModelConfig:
                        roster_size=roster_size, **base)
 
 
+def _layer_views(cfg, flat):
+    """encoder_w/encoder_b/head_w/head_b tuples of views into the 1-D buffer
+    `flat`, laid out in serialization order (each weight, then its bias).
+    Tuples, so that a layer can be written only through its view."""
+    if flat.ndim != 1 or flat.size != cfg.n_parameters():
+        raise ShapeMismatch(f"a {cfg.n_parameters()}-element flat buffer is needed "
+                            f"for this architecture, got shape {flat.shape}")
+    views, off = {}, 0
+    for prefix, widths in zip(("encoder", "head"), _layer_widths(cfg)):
+        ws, bs = [], []
+        for fan_in, fan_out in zip(widths, widths[1:]):
+            ws.append(flat[off:off + fan_in * fan_out].reshape(fan_in, fan_out))
+            off += fan_in * fan_out
+            bs.append(flat[off:off + fan_out])
+            off += fan_out
+        views[f"{prefix}_w"], views[f"{prefix}_b"] = tuple(ws), tuple(bs)
+    return views
+
+
 @dataclass
-class ModelParams:
+class _FlatLayers:
+    """One contiguous buffer in serialization order, plus per-layer views of
+    it; writing through a view writes the buffer."""
+
+    config: ModelConfig
+    flat: np.ndarray
+    encoder_w: tuple = field(init=False, repr=False)
+    encoder_b: tuple = field(init=False, repr=False)
+    head_w: tuple = field(init=False, repr=False)
+    head_b: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for name, views in _layer_views(self.config, self.flat).items():
+            setattr(self, name, views)
+
+    def arrays(self):
+        """(name, view) pairs in the documented serialization order."""
+        for prefix in ("encoder", "head"):
+            ws, bs = getattr(self, f"{prefix}_w"), getattr(self, f"{prefix}_b")
+            for i, (w, b) in enumerate(zip(ws, bs)):
+                yield f"{prefix}_w{i}", w
+                yield f"{prefix}_b{i}", b
+
+
+@dataclass
+class ModelParams(_FlatLayers):
     """Weights: one encoder copy shared by all 10 slots, plus the head.
 
     head_w/head_b include the output layer (last entry maps the final
     hidden width to 10 logits).
     """
 
-    config: ModelConfig
-    encoder_w: list
-    encoder_b: list
-    head_w: list
-    head_b: list
-
-    def arrays(self):
-        """(name, array) pairs in the documented serialization order."""
-        return _named_arrays(self)
-
     def copy(self):
-        stacks = ("encoder_w", "encoder_b", "head_w", "head_b")
-        return replace(self, **{f: [a.copy() for a in getattr(self, f)] for f in stacks})
+        return replace(self, flat=self.flat.copy())
 
 
 @dataclass
-class GradientSet:
-    encoder_w: list
-    encoder_b: list
-    head_w: list
-    head_b: list
-
-    def arrays(self):
-        return _named_arrays(self)
+class GradientSet(_FlatLayers):
+    """d loss / d parameters, laid out like the parameters of `config`."""
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, shapes mirroring the parameters."""
+    """First/second moment accumulators, flat like the parameters, and the
+    two scratch blocks of the blocked update."""
 
-    m: list
-    v: list
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    scratch: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = np.empty((2, min(ADAM_BLOCK, self.m.size)), self.m.dtype)
 
 
 @dataclass
@@ -151,27 +179,16 @@ def init_params(cfg: ModelConfig, rng=None) -> ModelParams:
         if w < 1:
             raise InvalidArchitecture(f"layer width must be >= 1, got {w}")
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
-    dt = cfg.np_dtype
-    enc_widths, head_widths = _layer_widths(cfg)
-
-    def make(widths):
-        ws, bs = [], []
-        for fan_in, fan_out in zip(widths, widths[1:]):
-            bound = np.sqrt(6.0 / (fan_in + fan_out))
-            ws.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dt))
-            bs.append(np.zeros(fan_out, dtype=dt))
-        return ws, bs
-
-    enc_w, enc_b = make(enc_widths)
-    head_w, head_b = make(head_widths)
-    return ModelParams(config=cfg, encoder_w=enc_w, encoder_b=enc_b,
-                       head_w=head_w, head_b=head_b)
+    params = ModelParams(config=cfg, flat=np.zeros(cfg.n_parameters(), cfg.np_dtype))
+    for w in (*params.encoder_w, *params.head_w):
+        fan_in, fan_out = w.shape
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 def init_adam(params: ModelParams, beta1=0.9, beta2=0.999, eps=1e-8) -> AdamState:
-    arrs = [a for _, a in params.arrays()]
-    return AdamState(m=[np.zeros_like(a) for a in arrs],
-                     v=[np.zeros_like(a) for a in arrs],
+    return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat),
                      step=0, beta1=beta1, beta2=beta2, eps=eps)
 
 
@@ -203,16 +220,16 @@ def _relu_stack_forward(act, ws, bs):
     return pres, acts
 
 
-def _relu_stack_backward(dact, x, pres, acts, ws, input_grad=True):
-    """(weight grads, bias grads, d loss/d x) of `_relu_stack_forward` on x,
-    from d loss/d(last activation); d loss/d x is None unless input_grad."""
-    w_g, b_g = [None] * len(ws), [None] * len(ws)
+def _relu_stack_backward(dact, x, pres, acts, ws, w_g, b_g, input_grad=True):
+    """Writes the weight and bias gradients of `_relu_stack_forward` on x
+    into w_g and b_g, from d loss/d(last activation); returns d loss/d x,
+    or None unless input_grad."""
     for i in range(len(ws) - 1, -1, -1):
         dpre = dact * (pres[i] > 0)
-        w_g[i] = (x if i == 0 else acts[i - 1]).T @ dpre
-        b_g[i] = dpre.sum(axis=0)
+        np.matmul((x if i == 0 else acts[i - 1]).T, dpre, out=w_g[i])
+        np.sum(dpre, axis=0, out=b_g[i])
         dact = dpre @ ws[i].T if i > 0 or input_grad else None
-    return w_g, b_g, dact
+    return dact
 
 
 def forward(params: ModelParams, feats):
@@ -261,44 +278,61 @@ def loss_and_grad(params: ModelParams, batch):
     dlogits = np.zeros_like(trace.logits)
     dlogits[:, slot] = (_sigmoid(z) - y) / b
 
+    grads = GradientSet(config=cfg, flat=np.empty(params.flat.size, dt))
     # output layer: linear, so its pre-activation gradient is dlogits itself
     out_in = trace.head_act[-1] if trace.head_act else trace.concat
-    head_w_g, head_b_g, dconcat = _relu_stack_backward(
+    dconcat = _relu_stack_backward(
         dlogits @ params.head_w[-1].T, trace.concat, trace.head_pre, trace.head_act,
-        params.head_w[:-1])
-    head_w_g.append(out_in.T @ dlogits)
-    head_b_g.append(dlogits.sum(axis=0))
+        params.head_w[:-1], grads.head_w, grads.head_b)
+    np.matmul(out_in.T, dlogits, out=grads.head_w[-1])
+    np.sum(dlogits, axis=0, out=grads.head_b[-1])
 
     denc = dconcat.reshape(b * N_HEROES, cfg.shared_layers[-1])
-    enc_w_g, enc_b_g, _ = _relu_stack_backward(denc, trace.x0, trace.encoder_pre,
-                                               trace.encoder_act, params.encoder_w,
-                                               input_grad=False)
-    grads = GradientSet(encoder_w=enc_w_g, encoder_b=enc_b_g,
-                        head_w=head_w_g, head_b=head_b_g)
+    _relu_stack_backward(denc, trace.x0, trace.encoder_pre, trace.encoder_act,
+                         params.encoder_w, grads.encoder_w, grads.encoder_b,
+                         input_grad=False)
     return loss, grads
 
 
 def adam_step(params: ModelParams, state: AdamState, grads: GradientSet, lr=None):
-    """Standard bias-corrected Adam update, in place; returns (params, state)."""
+    """Bias-corrected Adam (Kingma & Ba 2015), in place; returns (params, state).
+
+    The update runs over the flat parameter, gradient and moment buffers in
+    blocks of ADAM_BLOCK elements, through the state's two scratch blocks.
+    Each block takes the float operations of the per-array update
+    `p -= lr * (m / c1) / (sqrt(v / c2) + eps)` in the same order, so the
+    results are bit-identical to it. Nothing is written unless the whole
+    gradient is finite.
+    """
     lr = params.config.learning_rate if lr is None else lr
-    p_arrs = [a for _, a in params.arrays()]
-    g_arrs = [a for _, a in grads.arrays()]
-    if len(p_arrs) != len(g_arrs) or any(p.shape != g.shape for p, g in zip(p_arrs, g_arrs)):
+    if _layer_widths(grads.config) != _layer_widths(params.config):
         raise ShapeMismatch("gradient shapes do not mirror the parameters")
-    for g in g_arrs:
-        if not np.isfinite(g).all():
-            raise NonFiniteGradient("gradient contains NaN or inf")
+    if not np.isfinite(grads.flat).all():
+        raise NonFiniteGradient("gradient contains NaN or inf")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    for p, g, m, v in zip(p_arrs, g_arrs, state.m, state.v):
+    for lo in range(0, params.flat.size, ADAM_BLOCK):
+        hi = lo + ADAM_BLOCK
+        p, g = params.flat[lo:hi], grads.flat[lo:hi]
+        m, v = state.m[lo:hi], state.v[lo:hi]
+        tmp, upd = state.scratch[:, :p.size]
         m *= b1
-        m += (1 - b1) * g
+        np.multiply(g, 1 - b1, out=tmp)
+        m += tmp
         v *= b2
-        v += (1 - b2) * np.square(g)
-        p -= (lr * (m / c1) / (np.sqrt(v / c2) + state.eps)).astype(p.dtype, copy=False)
+        np.square(g, out=tmp)
+        tmp *= 1 - b2
+        v += tmp
+        np.divide(m, c1, out=upd)
+        upd *= lr
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += state.eps
+        upd /= tmp
+        p -= upd
     return params, state
 
 
@@ -405,8 +439,7 @@ def encode_checkpoint(params: ModelParams, stats: ft.NormalizationStats, step=0)
         stats.maxs.astype("<f8").tobytes(),
     ]
     le = "<f4" if cfg.dtype == "float32" else "<f8"
-    for _, arr in params.arrays():
-        out.append(np.ascontiguousarray(arr, dtype=le))
+    out.append(np.ascontiguousarray(params.flat, dtype=le))
     return seal(_FIXED, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, cfg.variant,
                 _DTYPE_NAMES.index(cfg.dtype), cfg.per_hero_count, cfg.roster_size,
                 cfg.batch_size, cfg.seed, step, cfg.learning_rate, cfg.window,
@@ -453,22 +486,10 @@ def decode_checkpoint(blob: bytes, expect_variant=None):
     stats = ft.NormalizationStats(schema=schema, mins=mins, maxs=maxs)
 
     le = "<f4" if dtype == "float32" else "<f8"
-    enc_widths, head_widths = _layer_widths(cfg)
-
-    def read_stack(widths):
-        ws, bs = [], []
-        for fan_in, fan_out in zip(widths, widths[1:]):
-            ws.append(take(le, fan_in * fan_out).reshape(fan_in, fan_out))
-            bs.append(take(le, fan_out))
-        return ws, bs
-
-    enc_w, enc_b = read_stack(enc_widths)
-    head_w, head_b = read_stack(head_widths)
+    flat = take(le, cfg.n_parameters())
     if off != len(body):
         raise ChecksumMismatch("checkpoint has trailing bytes")
-    params = ModelParams(config=cfg, encoder_w=enc_w, encoder_b=enc_b,
-                         head_w=head_w, head_b=head_b)
-    return params, stats, step
+    return ModelParams(config=cfg, flat=flat), stats, step
 
 
 def save_checkpoint(params: ModelParams, stats: ft.NormalizationStats, path, step=0):

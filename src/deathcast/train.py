@@ -89,7 +89,7 @@ def train(cfg: TrainRunConfig, train_pool: ShardPool, val_pool: ShardPool,
             loss_n = 0
             if ap > best_ap:
                 best_ap = ap
-                best = params.copy()
+                np.copyto(best.flat, params.flat)
                 best_step = step
     if cfg.max_steps == 0:
         best_ap = validation_ap(best, val_feats, val_labels)

@@ -4,14 +4,18 @@ These deliberately avoid numpy vectorization tricks and share no code with
 the package paths they check.
 """
 
+import hashlib
 import io
 import json
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from deathcast import features as ft
 from deathcast import match_data as md
+from deathcast import model as mo
 from deathcast import synth as sy
 
 
@@ -332,3 +336,40 @@ def expected_death_count(cfg, m) -> float:
             if not keep.all():
                 h_vals, mass = h_vals[keep], mass[keep]
     return float(total)
+
+
+# ---------------------------------------------------------------------------
+# Per-array model updates and serialization: the references for the model's
+# flat parameter, gradient and moment buffers
+
+
+def reference_adam_step(params, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Bias-corrected Adam over one parameter array at a time, in place on
+    params' arrays and on the m and v lists of per-array moments; step is
+    the 1-based count including this update."""
+    c1 = 1.0 - beta1 ** step
+    c2 = 1.0 - beta2 ** step
+    for (_, p), (_, g), mi, vi in zip(params.arrays(), grads.arrays(), m, v):
+        mi *= beta1
+        mi += (1 - beta1) * g
+        vi *= beta2
+        vi += (1 - beta2) * np.square(g)
+        p -= (lr * (mi / c1) / (np.sqrt(vi / c2) + eps)).astype(p.dtype, copy=False)
+
+
+def reference_encode_checkpoint(params, stats, step=0):
+    """Checkpoint bytes with the header, the layer table, the stats and then
+    each weight and bias array packed on its own, in serialization order."""
+    cfg = params.config
+    parts = [struct.pack("<8sHBBIIIqQdd", mo.CHECKPOINT_MAGIC, mo.CHECKPOINT_VERSION,
+                         ft.VARIANTS.index(cfg.variant), ("float32", "float64").index(cfg.dtype),
+                         cfg.per_hero_count, cfg.roster_size, cfg.batch_size, cfg.seed,
+                         step, cfg.learning_rate, cfg.window)]
+    for widths in (cfg.shared_layers, cfg.final_layers):
+        parts.append(struct.pack(f"<H{len(widths)}I", len(widths), *widths))
+    parts.append(struct.pack("<I", stats.schema.per_hero_count))
+    parts += [stats.mins.astype("<f8").tobytes(), stats.maxs.astype("<f8").tobytes()]
+    le = "<f4" if cfg.dtype == "float32" else "<f8"
+    parts += [arr.astype(le).tobytes() for _, arr in params.arrays()]
+    body = b"".join(parts)
+    return body + hashlib.blake2b(body, digest_size=8).digest()

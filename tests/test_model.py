@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from deathcast.errors import (ChecksumMismatch, DeathcastError, InvalidArchitect
                               VersionMismatch)
 
 from conftest import header_mutations, reseal
+from oracles import reference_adam_step, reference_encode_checkpoint
 
 
 def tiny_config(**kw):
@@ -141,7 +144,7 @@ class TestGradientCheckHarness:
     def test_sabotaged_backward_detected(self):
         def corrupted(params, batch):
             loss, grads = mo.loss_and_grad(params, batch)
-            grads.head_w[-1] = grads.head_w[-1] * 1.05
+            grads.head_w[-1][...] *= 1.05
             return loss, grads
 
         report = mo.gradient_check(tiny_config(seed=2), loss_and_grad_fn=corrupted)
@@ -158,11 +161,7 @@ class TestAdam:
         params = mo.init_params(cfg, rng)
         before = [arr.copy() for _, arr in params.arrays()]
         state = mo.init_adam(params)
-        zero = mo.GradientSet(
-            encoder_w=[np.zeros_like(w) for w in params.encoder_w],
-            encoder_b=[np.zeros_like(b) for b in params.encoder_b],
-            head_w=[np.zeros_like(w) for w in params.head_w],
-            head_b=[np.zeros_like(b) for b in params.head_b])
+        zero = mo.GradientSet(config=cfg, flat=np.zeros_like(params.flat))
         mo.adam_step(params, state, zero)
         assert state.step == 1
         for prev, (_, arr) in zip(before, params.arrays()):
@@ -173,11 +172,11 @@ class TestAdam:
         params = mo.init_params(cfg, rng)
         before = [arr.copy() for _, arr in params.arrays()]
         state = mo.init_adam(params)
-        g = mo.GradientSet(
-            encoder_w=[np.full_like(w, 0.3) for w in params.encoder_w],
-            encoder_b=[np.full_like(b, -0.7) for b in params.encoder_b],
-            head_w=[np.full_like(w, 1.1) for w in params.head_w],
-            head_b=[np.full_like(b, 2.0) for b in params.head_b])
+        g = mo.GradientSet(config=cfg, flat=np.empty_like(params.flat))
+        for stack, value in ((g.encoder_w, 0.3), (g.encoder_b, -0.7), (g.head_w, 1.1),
+                             (g.head_b, 2.0)):
+            for arr in stack:
+                arr[...] = value
         lr = 1e-3
         mo.adam_step(params, state, g, lr=lr)
         for prev, (_, arr), (_, garr) in zip(before, params.arrays(), g.arrays()):
@@ -186,17 +185,22 @@ class TestAdam:
             assert np.allclose(step, expect, rtol=1e-6)
 
     def test_nonfinite_gradient_rejected(self, rng):
-        cfg = tiny_config()
+        # two update blocks, so the last element sits in the partial tail block
+        cfg = mo.default_config("minimal")
+        assert mo.ADAM_BLOCK < cfg.n_parameters() < 2 * mo.ADAM_BLOCK
         params = mo.init_params(cfg, rng)
         state = mo.init_adam(params)
-        g = mo.GradientSet(
-            encoder_w=[np.zeros_like(w) for w in params.encoder_w],
-            encoder_b=[np.zeros_like(b) for b in params.encoder_b],
-            head_w=[np.zeros_like(w) for w in params.head_w],
-            head_b=[np.zeros_like(b) for b in params.head_b])
-        g.encoder_w[0][0, 0] = np.nan
-        with pytest.raises(NonFiniteGradient):
-            mo.adam_step(params, state, g)
+        batch = random_batch(rng, cfg)
+        mo.adam_step(params, state, mo.loss_and_grad(params, batch)[1])
+        before = (params.flat.tobytes(), state.m.tobytes(), state.v.tobytes(), state.step)
+        for bad in (np.nan, np.inf, -np.inf):
+            for at in (0, -1):
+                _, g = mo.loss_and_grad(params, batch)
+                g.flat[at] = bad
+                with pytest.raises(NonFiniteGradient):
+                    mo.adam_step(params, state, g)
+                after = (params.flat.tobytes(), state.m.tobytes(), state.v.tobytes(), state.step)
+                assert after == before, (bad, at)
 
     def test_quadratic_convergence(self):
         # minimize f(x, y) = (x - 3)^2 + 2 (y + 1)^2 with the same update rule
@@ -216,13 +220,72 @@ class TestAdam:
         cfg = tiny_config()
         params = mo.init_params(cfg, rng)
         state = mo.init_adam(params)
-        g = mo.GradientSet(
-            encoder_w=[np.zeros((3, 3))] * len(params.encoder_w),
-            encoder_b=[np.zeros(3)] * len(params.encoder_b),
-            head_w=[np.zeros((3, 3))] * len(params.head_w),
-            head_b=[np.zeros(3)] * len(params.head_b))
-        with pytest.raises(ShapeMismatch):
+        # a layout for other widths, with a different and with the same element count
+        for other in (tiny_config(shared_layers=(3, 3)),
+                      tiny_config(shared_layers=(17, 3), final_layers=(6,))):
+            g = mo.GradientSet(config=other, flat=np.zeros(other.n_parameters()))
+            with pytest.raises(ShapeMismatch):
+                mo.adam_step(params, state, g)
+        assert state.step == 0
+
+    @pytest.mark.parametrize("cfg", [mo.default_config("full"), mo.default_config("minimal"),
+                                     mo.small_check_config()],
+                             ids=["full", "minimal", "small_check"])
+    def test_blocked_update_bit_identical_to_per_array(self, cfg):
+        params = mo.init_params(cfg)
+        ref = params.copy()
+        state = mo.init_adam(params)
+        ref_m = [np.zeros_like(a) for _, a in ref.arrays()]
+        ref_v = [np.zeros_like(a) for _, a in ref.arrays()]
+        rng = np.random.default_rng(30)
+        for step in range(1, 31):
+            batch = random_batch(rng, cfg)
+            mo.adam_step(params, state, mo.loss_and_grad(params, batch)[1])
+            reference_adam_step(ref, mo.loss_and_grad(ref, batch)[1], ref_m, ref_v, step,
+                                cfg.learning_rate)
+        assert state.step == 30
+        assert params.flat.tobytes() == ref.flat.tobytes()
+        assert state.m.tobytes() == np.concatenate([m.ravel() for m in ref_m]).tobytes()
+        assert state.v.tobytes() == np.concatenate([v.ravel() for v in ref_v]).tobytes()
+
+    def test_step_allocates_no_parameter_sized_temporaries(self, rng):
+        cfg = mo.default_config("full")
+        params = mo.init_params(cfg)
+        state = mo.init_adam(params)
+        g = mo.GradientSet(config=cfg, flat=rng.standard_normal(params.flat.size,
+                                                                dtype=np.float32))
+        tracemalloc.start()
+        try:
             mo.adam_step(params, state, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
+
+
+class TestLayout:
+    def test_every_layer_is_a_view_of_flat(self, rng):
+        cfg = tiny_config()
+        params = mo.init_params(cfg, rng)
+        _, grads = mo.loss_and_grad(params, random_batch(rng, cfg))
+        for stacks in (params, grads):
+            arrays = [a for _, a in stacks.arrays()]
+            assert len(arrays) == 8
+            assert all(np.shares_memory(a, stacks.flat) for a in arrays)
+            assert sum(a.size for a in arrays) == stacks.flat.size == cfg.n_parameters()
+
+    def test_copy_shares_no_memory(self, rng):
+        params = mo.init_params(tiny_config(), rng)
+        dup = params.copy()
+        assert not np.shares_memory(dup.flat, params.flat)
+        assert all(np.shares_memory(a, dup.flat) for _, a in dup.arrays())
+        assert dup.flat.tobytes() == params.flat.tobytes()
+
+    def test_flat_of_wrong_size_rejected(self):
+        cfg = tiny_config()
+        for flat in (np.zeros(cfg.n_parameters() + 1), np.zeros((1, cfg.n_parameters()))):
+            with pytest.raises(ShapeMismatch):
+                mo.GradientSet(config=cfg, flat=flat)
 
 
 class TestDeterminism:
@@ -334,6 +397,18 @@ class TestCheckpoint:
             blob[16:20] = roster.to_bytes(4, "little")  # roster_size field
             with pytest.raises(SchemaMismatch):
                 mo.decode_checkpoint(reseal(blob))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_bytes_match_per_array_encoder(self, rng, dtype):
+        cfg = tiny_config(dtype=dtype, seed=4)
+        params = mo.init_params(cfg)
+        params.flat[:] = rng.standard_normal(params.flat.size)
+        stats = self._stats(cfg, rng)
+        blob = mo.encode_checkpoint(params, stats, step=9)
+        assert blob == reference_encode_checkpoint(params, stats, step=9)
+        loaded, _, _ = mo.decode_checkpoint(blob)
+        assert loaded.flat.dtype == params.flat.dtype
+        assert loaded.flat.tobytes() == params.flat.tobytes()
 
     @pytest.mark.parametrize("variant,per_hero", [("minimal", 15), ("medium", 109)])
     def test_roster_larger_than_checkpoint_round_trips(self, rng, variant, per_hero,

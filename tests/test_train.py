@@ -70,6 +70,17 @@ class TestTrain:
         aps = [ap for _, _, ap in result.history]
         assert result.best_val_ap == max(aps)
 
+    def test_best_params_keep_their_own_buffer(self, small_corpus):
+        # at this learning rate the best checkpoint comes before the last step, so
+        # the later updates must not reach it
+        _, _, train_pool, val_pool, stats = small_corpus
+        cfg = tr.TrainRunConfig(model=small_model(lr=3e-2), max_steps=600, val_interval=100,
+                                batch_seed=6)
+        result = tr.train(cfg, train_pool, val_pool, stats=stats)
+        assert result.best_step < cfg.max_steps
+        val_feats, val_labels = tr._validation_arrays(val_pool, cfg.val_max_samples)
+        assert tr.validation_ap(result.best_params, val_feats, val_labels) == result.best_val_ap
+
     def test_refuses_test_pool(self, small_corpus):
         _, _, train_pool, val_pool, stats = small_corpus
         test_pool = ds.ShardPool(val_pool.shards, split="test")
