@@ -206,7 +206,9 @@ class MatchRecord:
     tower columns are all None for a match without a towers section.
     Immutable by convention after construction; nothing in the package
     mutates a record in place, so instances are safe to share between
-    threads.
+    threads. Columns may be read-only views: a decoded record's views of
+    its blob, and a generated record's time-constant columns, which repeat
+    one frame with stride 0. Copy a column before writing to it.
     """
 
     def __init__(self, match_id, tick_interval, roster_size, **columns):

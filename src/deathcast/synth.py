@@ -34,6 +34,7 @@ quality measurable.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -45,6 +46,7 @@ from .evaluation import average_precision, pr_curve
 from .util import spawn_rngs, write_lines
 
 _TEAM_OF_SLOT = np.array([0] * 5 + [1] * 5, dtype=np.int8)
+_ENEMY = _TEAM_OF_SLOT[:, None] != _TEAM_OF_SLOT[None, :]  # (10, 10): opposite teams
 LIVE_HEALTH_FLOOR = 1.0  # an alive hero never displays 0 health
 
 
@@ -105,6 +107,9 @@ def validate_config(cfg: SynthConfig):
         raise InvalidConfig(f"movement must be 'waypoint' or 'orbit', got {cfg.movement!r}")
     if cfg.n_frames < 2:
         raise InvalidConfig("n_frames must be >= 2")
+    if cfg.pause_count > 0 and cfg.pause_length_ticks > 0 and cfg.n_frames < 3:
+        raise InvalidConfig("pauses need n_frames >= 3: a pause follows a frame "
+                            "strictly inside the match")
     if cfg.tick_interval <= 0:
         raise InvalidConfig("tick_interval must be > 0")
     if cfg.max_health <= LIVE_HEALTH_FLOOR:
@@ -155,21 +160,30 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _nonhealth_logit(cfg, pos, visible, tower_team, tower_pos, tower_alive):
-    """Death-independent hazard terms per tick: bias + enemies + tower + vis.
+def _hero_distances(pos):
+    """(n, 10, 10) distance between every pair of heroes at every tick."""
+    x, y = pos[..., 0], pos[..., 1]
+    dx = x[:, :, None] - x[:, None, :]
+    dy = y[:, :, None] - y[:, None, :]
+    return np.sqrt(dx * dx + dy * dy)
 
-    Everything here is a plain function of recorded position/visibility/
-    tower fields, shared verbatim between the generator and the oracle.
+
+def _drivers(cfg, pos, dist, visible, tower_team, tower_pos, tower_alive):
+    """(pre, rate) per tick and hero, both death-independent.
+
+    pre is the hazard logit's bias + enemies + tower + visibility terms;
+    rate is the live-health drift in hp/s: regen when no enemy is near,
+    damage scaled by the number of nearby enemies otherwise. Everything
+    here is a plain function of recorded position/visibility/tower fields
+    (`dist` is `_hero_distances(pos)`), shared verbatim between the
+    generator and the oracle.
     """
-    diff = pos[:, :, None, :] - pos[:, None, :, :]
-    d = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
-    enemy_mask = _TEAM_OF_SLOT[:, None] != _TEAM_OF_SLOT[None, :]
-    near = (d < cfg.enemy_radius) & enemy_mask[None, :, :]
-    enemies_near = near.sum(axis=2) / 5.0
+    n_near = ((dist < cfg.enemy_radius) & _ENEMY).sum(axis=2)
 
     if tower_team is not None and len(tower_team):
-        tdiff = pos[:, :, None, :] - tower_pos[None, None, :, :]
-        td = np.sqrt(tdiff[..., 0] ** 2 + tdiff[..., 1] ** 2)  # (n, 10, T)
+        tdx = pos[:, :, 0, None] - tower_pos[:, 0]
+        tdy = pos[:, :, 1, None] - tower_pos[:, 1]
+        td = np.sqrt(tdx * tdx + tdy * tdy)  # (n, 10, T)
         enemy_tower = tower_team[None, None, :] != _TEAM_OF_SLOT[None, :, None]
         in_range = (td < cfg.tower_radius) & enemy_tower & tower_alive[:, None, :]
         tower_flag = in_range.any(axis=2).astype(np.float64)
@@ -179,20 +193,12 @@ def _nonhealth_logit(cfg, pos, visible, tower_team, tower_pos, tower_alive):
     window_ticks = max(1, int(round(cfg.visibility_window / cfg.tick_interval)))
     vis_frac = _trailing_mean(visible, window_ticks)
 
-    return (cfg.hazard_bias
-            + cfg.hazard_enemies_near * enemies_near
-            + cfg.hazard_enemy_tower * tower_flag
-            + cfg.hazard_visibility * vis_frac)
-
-
-def _contact_rate(cfg, pos):
-    """Per-tick live-health drift in hp/s: regen when alone, damage scaled
-    by the number of nearby enemies otherwise. Death-independent."""
-    diff = pos[:, :, None, :] - pos[:, None, :, :]
-    d = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
-    enemy_mask = _TEAM_OF_SLOT[:, None] != _TEAM_OF_SLOT[None, :]
-    cnt = ((d < cfg.enemy_radius) & enemy_mask[None, :, :]).sum(axis=2)
-    return np.where(cnt == 0, cfg.regen, -cfg.damage_per_enemy * cnt)
+    pre = (cfg.hazard_bias
+           + cfg.hazard_enemies_near * (n_near / 5.0)
+           + cfg.hazard_enemy_tower * tower_flag
+           + cfg.hazard_visibility * vis_frac)
+    rate = np.where(n_near == 0, cfg.regen, -cfg.damage_per_enemy * n_near)
+    return pre, rate
 
 
 def _roll_health(cfg, h, rate, dt):
@@ -204,8 +210,150 @@ def _health_lam(cfg, pre, h):
     return _sigmoid(pre + cfg.hazard_low_health * (1.0 - h / cfg.max_health))
 
 
+def _orbit_path(cfg, rng, n):
+    """(n, 10, 2) positions of the orbital flow, whose velocity is a
+    function of position alone."""
+    dt = cfg.tick_interval
+    center = cfg.map_size / 2.0
+    r0 = rng.uniform(0.10 * cfg.map_size, 0.46 * cfg.map_size, size=md.N_HEROES)
+    th0 = rng.uniform(0.0, 2.0 * np.pi, size=md.N_HEROES)
+    pos = np.stack([center + r0 * np.cos(th0), center + r0 * np.sin(th0)], axis=1)
+    r_lo, r_hi = 0.05 * cfg.map_size, 0.47 * cfg.map_size
+    out = np.empty((n, md.N_HEROES, 2))
+    for k in range(n):
+        out[k] = pos
+        rel = pos - center
+        r = np.sqrt(rel[:, 0] ** 2 + rel[:, 1] ** 2)
+        theta = np.arctan2(rel[:, 1], rel[:, 0])
+        theta = theta + cfg.move_speed / np.maximum(r, 1e-9) * dt
+        r = np.clip(r + cfg.radial_amp * np.cos(cfg.wave_lobes * theta) * dt, r_lo, r_hi)
+        pos = np.stack([center + r * np.cos(theta), center + r * np.sin(theta)], axis=1)
+    return out
+
+
+def _waypoint_path(cfg, rng, n):
+    """(n, 10, 2) positions of heroes walking at move_speed to random
+    waypoints, optionally dwelling at each for an exponential time.
+
+    The walk runs in Python floats, tick by tick and hero by hero. A step
+    is `d = sqrt(dx*dx + dy*dy)` then `p + step*dx/d`, which rounds the
+    same as the same operations on arrays. At each tick the heroes whose
+    dwell expired draw their next waypoints in one call, and then the
+    heroes that arrived draw a dwell time (or a next waypoint) in one call,
+    both in slot order.
+    """
+    h10, size, dt = md.N_HEROES, cfg.map_size, cfg.tick_interval
+    hold_mean = cfg.waypoint_hold_mean
+    step = cfg.move_speed * dt
+    px, py = rng.uniform(0, size, size=(h10, 2)).T.tolist()
+    wx, wy = rng.uniform(0, size, size=(h10, 2)).T.tolist()
+    hold = [0.0] * h10
+    dwelling = [False] * h10
+
+    def walk_on(slots):
+        draws = rng.uniform(0, size, size=(len(slots), 2)).tolist()
+        for i, (x, y) in zip(slots, draws):
+            wx[i], wy[i], dwelling[i] = x, y, False
+
+    xs, ys = [], []
+    for _ in range(n):
+        xs += px
+        ys += py
+        if hold_mean > 0:
+            expired = []
+            for i in range(h10):
+                if dwelling[i]:
+                    hold[i] -= dt
+                    if hold[i] <= 0:
+                        expired.append(i)
+            if expired:
+                walk_on(expired)
+        arrived = []
+        for i in range(h10):
+            if dwelling[i]:
+                continue
+            dx = wx[i] - px[i]
+            dy = wy[i] - py[i]
+            d = math.sqrt(dx * dx + dy * dy)
+            if d <= step:
+                px[i], py[i] = wx[i], wy[i]
+                arrived.append(i)
+            else:
+                px[i] += step * dx / d
+                py[i] += step * dy / d
+        if arrived and hold_mean > 0:
+            for i, t in zip(arrived, rng.exponential(hold_mean, size=len(arrived)).tolist()):
+                hold[i], dwelling[i] = t, True
+        elif arrived:
+            walk_on(arrived)
+    return np.stack([xs, ys], axis=-1).reshape(n, h10, 2)
+
+
+def _life_and_death(cfg, pre, rate, rng):
+    """(alive, recorded health, [(tick, slot) of each death]) of every hero.
+
+    Tick order: respawn draw (dead heroes, full health on success), record
+    the snapshot, death coin for alive heroes, then evolve live health.
+    Both coin streams are pre-drawn so they never depend on outcomes, so no
+    hero depends on another: each runs alone, one alive stretch at a time.
+    A stretch starts at full health (tick 0 or a respawn), rolls live
+    health in Python floats as `min(max(h + rate*dt, floor), max_health)`,
+    which is `_roll_health`, takes its hazard in one `_health_lam` call,
+    and ends at the first death coin under the hazard before the final
+    tick. The next stretch starts at the first respawn coin under p_r
+    after that death.
+    """
+    n, h10 = pre.shape
+    dt = cfg.tick_interval
+    u = rng.random((n, h10))  # death coins
+    v = rng.random((n, h10))  # respawn coins
+    p_r = _respawn_prob(cfg, dt)
+    top = cfg.max_health
+    alive = np.zeros((n, h10), dtype=bool)
+    health = np.zeros((n, h10))
+    deaths = []
+    for s in range(h10):
+        drift = (rate[:, s] * dt).tolist()
+        respawns = np.flatnonzero(v[:, s] < p_r)
+        a = 0
+        while True:
+            h = top
+            hs = [h]
+            for k in range(a, n - 1):
+                h += drift[k]
+                if h < LIVE_HEALTH_FLOOR:
+                    h = LIVE_HEALTH_FLOOR
+                elif h > top:
+                    h = top
+                hs.append(h)
+            hs = np.array(hs)
+            hits = np.flatnonzero(u[a:n - 1, s] < _health_lam(cfg, pre[a:n - 1, s], hs[:-1]))
+            last = a + int(hits[0]) if hits.size else n - 1  # last alive tick
+            alive[a:last + 1, s] = True
+            health[a:last + 1, s] = hs[:last + 1 - a]
+            if not hits.size:
+                break
+            deaths.append((last, s))
+            j = int(np.searchsorted(respawns, last, side="right"))
+            if j == len(respawns):
+                break
+            a = int(respawns[j])
+    return alive, health, deaths
+
+
+def _held(template, n):
+    """A column that never changes over time: a read-only (n, ...) view
+    that repeats one frame's template with stride 0."""
+    return np.broadcast_to(template, (n, *template.shape))
+
+
 def generate_match(cfg: SynthConfig, match_seed) -> md.MatchRecord:
-    """Simulate one match; deterministic for a fixed (cfg, match_seed)."""
+    """Simulate one match; deterministic for a fixed (cfg, match_seed).
+
+    The time-constant columns (abilities, item_cooldown, item_owned,
+    max_health, max_mana) are read-only zero-stride views of one frame,
+    unless pauses are spliced in.
+    """
     validate_config(cfg)
     rng_move, rng_death, rng_misc = spawn_rngs((cfg.seed, match_seed), 3)
     n = cfg.n_frames
@@ -228,127 +376,51 @@ def generate_match(cfg: SynthConfig, match_seed) -> md.MatchRecord:
     tower_death_time = np.where(
         tower_dies, rng_misc.uniform(0.3, 0.9, size=n_towers) * times[-1], np.inf)
     item_counts = rng_misc.integers(2, 5, size=h10)
-    item_owned_const = np.zeros((h10, md.N_TRACKED_ITEMS), dtype=bool)
+    item_owned = np.zeros((h10, md.N_TRACKED_ITEMS), dtype=bool)
     for s in range(h10):
         owned = rng_misc.choice(md.N_TRACKED_ITEMS, size=item_counts[s], replace=False)
-        item_owned_const[s, owned] = True
+        item_owned[s, owned] = True
     gold_rate = rng_misc.uniform(4.0, 8.0, size=h10)  # gold per second
     xp_rate = rng_misc.uniform(6.0, 12.0, size=h10)
     mana_phase = rng_misc.uniform(0.0, 2 * np.pi, size=h10)
 
     # --- movement: never reacts to deaths ---
-    pos_hist = np.zeros((n, h10, 2))
-    center = cfg.map_size / 2.0
-    if cfg.movement == "orbit":
-        r0 = rng_move.uniform(0.10 * cfg.map_size, 0.46 * cfg.map_size, size=h10)
-        th0 = rng_move.uniform(0.0, 2.0 * np.pi, size=h10)
-        pos = np.stack([center + r0 * np.cos(th0), center + r0 * np.sin(th0)], axis=1)
-    else:
-        pos = rng_move.uniform(0, cfg.map_size, size=(h10, 2))
-    wp = rng_move.uniform(0, cfg.map_size, size=(h10, 2))
-    hold = np.zeros(h10)
-    dwelling = np.zeros(h10, dtype=bool)
-    step = cfg.move_speed * dt
-    r_lo, r_hi = 0.05 * cfg.map_size, 0.47 * cfg.map_size
-    for k in range(n):
-        pos_hist[k] = pos
-        if cfg.movement == "orbit":
-            rel = pos - center
-            r = np.sqrt(rel[:, 0] ** 2 + rel[:, 1] ** 2)
-            theta = np.arctan2(rel[:, 1], rel[:, 0])
-            theta = theta + cfg.move_speed / np.maximum(r, 1e-9) * dt
-            r = np.clip(r + cfg.radial_amp * np.cos(cfg.wave_lobes * theta) * dt, r_lo, r_hi)
-            pos = np.stack([center + r * np.cos(theta), center + r * np.sin(theta)], axis=1)
-        else:
-            if cfg.waypoint_hold_mean > 0:
-                hold[dwelling] -= dt
-                expired = dwelling & (hold <= 0)
-                n_exp = int(expired.sum())
-                if n_exp:
-                    wp[expired] = rng_move.uniform(0, cfg.map_size, size=(n_exp, 2))
-                    dwelling[expired] = False
-            walking = ~dwelling
-            delta = wp - pos
-            dist = np.sqrt(delta[:, 0] ** 2 + delta[:, 1] ** 2)
-            arrive = walking & (dist <= step)
-            n_arr = int(arrive.sum())
-            pos = pos.copy()
-            if n_arr:
-                pos[arrive] = wp[arrive]
-                if cfg.waypoint_hold_mean > 0:
-                    hold[arrive] = rng_move.exponential(cfg.waypoint_hold_mean, size=n_arr)
-                    dwelling[arrive] = True
-                else:
-                    wp[arrive] = rng_move.uniform(0, cfg.map_size, size=(n_arr, 2))
-            go = walking & ~arrive
-            pos[go] += step * delta[go] / dist[go, None]
-
-    diff = pos_hist[:, :, None, :] - pos_hist[:, None, :, :]
-    d_all = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
-    enemy_mask = _TEAM_OF_SLOT[:, None] != _TEAM_OF_SLOT[None, :]
-    visible = ((d_all < cfg.sight_radius) & enemy_mask[None]).any(axis=2)
+    walk = _orbit_path if cfg.movement == "orbit" else _waypoint_path
+    pos = walk(cfg, rng_move, n)
+    dist = _hero_distances(pos)
+    visible = ((dist < cfg.sight_radius) & _ENEMY).any(axis=2)
     tower_alive = times[:, None] < tower_death_time[None, :]
-    pre = _nonhealth_logit(cfg, pos_hist, visible, tower_team, tower_pos, tower_alive)
-    rate = _contact_rate(cfg, pos_hist)
+    pre, rate = _drivers(cfg, pos, dist, visible, tower_team, tower_pos, tower_alive)
 
     # --- health + death + respawn process ---
-    # Tick order: respawn draw (dead heroes, full health on success), record
-    # the snapshot, death coin for alive heroes, then evolve live health.
-    # Both coin streams are pre-drawn so they never depend on outcomes.
-    u = rng_death.random((n, h10))  # death coins
-    v = rng_death.random((n, h10))  # respawn coins
-    p_r = _respawn_prob(cfg, dt)
-    alive = np.ones((n, h10), dtype=bool)
-    health_rec = np.zeros((n, h10))
-    cur_alive = np.ones(h10, dtype=bool)
-    h = np.full(h10, cfg.max_health)
-    deaths_per_hero = [[] for _ in range(h10)]  # (tick, time) pairs
-    for k in range(n):
-        reborn = ~cur_alive & (v[k] < p_r)
-        cur_alive |= reborn
-        h[reborn] = cfg.max_health
-        alive[k] = cur_alive
-        health_rec[k] = np.where(cur_alive, h, 0.0)
-        if k < n - 1:  # the final tick fires no deaths
-            lam_k = _health_lam(cfg, pre[k], h)
-            die = cur_alive & (u[k] < lam_k)
-            if die.any():
-                tau = times[k] + dt / 2.0
-                for s in np.flatnonzero(die):
-                    deaths_per_hero[s].append((int(k), tau))
-                cur_alive &= ~die
-        h = np.where(cur_alive, _roll_health(cfg, h, rate[k], dt), h)
-
-    death_slot, death_time = [], []
-    for s in range(h10):
-        for _, tau in deaths_per_hero[s]:
-            death_slot.append(s)
-            death_time.append(tau)
-    order = np.lexsort((death_slot, death_time))
-    death_slot = np.array(death_slot, dtype=np.int8)[order]
-    death_time = np.array(death_time, dtype=np.float64)[order]
+    alive, health, deaths = _life_and_death(cfg, pre, rate, rng_death)
+    ks = np.array([k for k, _ in deaths], dtype=np.int64)
+    ss = np.array([s for _, s in deaths], dtype=np.int64)
+    death_time = times[ks] + dt / 2.0
+    order = np.lexsort((ss, death_time))
+    death_slot = ss.astype(np.int8)[order]
+    death_time = death_time[order]
 
     # --- assemble record fields ---
+    # the killer is the dying hero's nearest enemy; counts start a tick later
+    killers = np.where(_ENEMY[ss], dist[ks, ss], np.inf).argmin(axis=1)
     deaths_cum = np.zeros((n, h10))
     kills_cum = np.zeros((n, h10))
-    for s in range(h10):
-        enemies = np.flatnonzero(enemy_mask[s])
-        for k, _tau in deaths_per_hero[s]:
-            deaths_cum[k + 1:, s] += 1.0
-            killer = enemies[np.argmin(d_all[k, s][enemies])]
-            kills_cum[k + 1:, killer] += 1.0
+    np.add.at(deaths_cum, (ks + 1, ss), 1.0)
+    np.add.at(kills_cum, (ks + 1, killers), 1.0)
+    deaths_cum = np.cumsum(deaths_cum, axis=0)
+    kills_cum = np.cumsum(kills_cum, axis=0)
 
-    mana_max = np.full((n, h10), 300.0)
     mana = 300.0 * (0.5 + 0.5 * np.sin(2 * np.pi * times[:, None] / 45.0 + mana_phase))
 
     state = np.zeros((n, h10, md.N_STATE_ATTRS))
     state[:, :, 0:8] = base_attrs[None]
     state[:, :, 8] = mana
-    state[:, :, 9] = mana_max
+    state[:, :, 9] = 300.0
     state[:, :, 12] = 1.0 + np.floor(times[:, None] / 60.0)
     state[:, :, 13] = primary_attr[None]
     state[:, :, 14] = cfg.move_speed
-    state[:, :, 15] = health_rec
+    state[:, :, 15] = health
     state[:, :, 16] = cfg.max_health
     state[:, :, 17] = damage[None] * 1.1
     state[:, :, 18] = damage[None] * 0.9
@@ -363,19 +435,17 @@ def generate_match(cfg: SynthConfig, match_seed) -> md.MatchRecord:
     stats[:, :, 14] = np.floor(0.8 * times[:, None])
     stats[:, :, 15] = xp_rate[None] * times[:, None]
 
-    item_owned = np.broadcast_to(item_owned_const[None], (n, h10, md.N_TRACKED_ITEMS)).copy()
-    item_cooldown = np.zeros((n, h10, md.N_TRACKED_ITEMS))
-    abilities = np.zeros((n, h10, md.N_ABILITY_SLOTS, md.N_ABILITY_ATTRS))
-    abilities[:, :, :4, 0] = 1.0
-    ability_count = np.full((n, h10), 4, dtype=np.int8)
+    abilities = np.zeros((h10, md.N_ABILITY_SLOTS, md.N_ABILITY_ATTRS))
+    abilities[:, :4, 0] = 1.0
 
     cols = dict(
         tick=np.arange(n, dtype=np.int64), game_time=times,
         paused=np.zeros(n, dtype=bool),
-        alive=alive, health=health_rec, max_health=np.full((n, h10), cfg.max_health),
-        mana=mana, max_mana=mana_max, pos=pos_hist, visible=visible,
-        state=state, stats=stats, item_owned=item_owned, item_cooldown=item_cooldown,
-        abilities=abilities, ability_count=ability_count,
+        alive=alive, health=health, max_health=_held(np.full(h10, cfg.max_health), n),
+        mana=mana, max_mana=_held(np.full(h10, 300.0), n), pos=pos, visible=visible,
+        state=state, stats=stats, item_owned=_held(item_owned, n),
+        item_cooldown=_held(np.zeros((h10, md.N_TRACKED_ITEMS)), n),
+        abilities=_held(abilities, n), ability_count=np.full((n, h10), 4, dtype=np.int8),
         tower_alive=tower_alive,
     )
     if cfg.pause_count > 0 and cfg.pause_length_ticks > 0:
@@ -393,18 +463,11 @@ def generate_match(cfg: SynthConfig, match_seed) -> md.MatchRecord:
 def _inject_pauses(cols, cfg, rng):
     """Splice frozen-clock paused frames after random unpaused positions."""
     n = len(cols["tick"])
-    starts = np.sort(rng.integers(1, n - 1, size=cfg.pause_count))
-    src = []
-    paused_flags = []
-    for k in range(n):
-        src.append(k)
-        paused_flags.append(False)
-        if k in starts:
-            reps = int((starts == k).sum()) * cfg.pause_length_ticks
-            src.extend([k] * reps)
-            paused_flags.extend([True] * reps)
-    src = np.array(src)
-    paused = np.array(paused_flags)
+    starts = rng.integers(1, n - 1, size=cfg.pause_count)
+    copies = 1 + np.bincount(starts, minlength=n) * cfg.pause_length_ticks
+    src = np.repeat(np.arange(n), copies)
+    paused = np.ones(len(src), dtype=bool)
+    paused[np.cumsum(copies) - copies] = False  # each frame's first copy
     out = {}
     for name, arr in cols.items():
         if name == "tick":
@@ -426,9 +489,8 @@ def _require_synth(cfg, m):
 
 
 def _match_drivers(cfg, m):
-    pre = _nonhealth_logit(cfg, m.pos, m.visible, m.tower_team, m.tower_pos, m.tower_alive)
-    rate = _contact_rate(cfg, m.pos)
-    return pre, rate
+    return _drivers(cfg, m.pos, _hero_distances(m.pos), m.visible,
+                    m.tower_team, m.tower_pos, m.tower_alive)
 
 
 def bayes_scores(cfg, m, window=5.0, indices=None):

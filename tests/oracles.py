@@ -17,6 +17,9 @@ from deathcast import features as ft
 from deathcast import match_data as md
 from deathcast import model as mo
 from deathcast import synth as sy
+from deathcast.synth import (_TEAM_OF_SLOT, _health_lam, _respawn_prob, _roll_health,
+                             _trailing_mean, generator_hash, validate_config)
+from deathcast.util import spawn_rngs
 
 
 def brute_force_labels(m, window):
@@ -336,6 +339,273 @@ def expected_death_count(cfg, m) -> float:
             if not keep.all():
                 h_vals, mass = h_vals[keep], mass[keep]
     return float(total)
+
+
+# ---------------------------------------------------------------------------
+# The synthetic generator as it was before its scalar rewrite: per-tick numpy
+# calls on the ten heroes, every column materialized per frame, and the
+# pairwise hero distances recomputed by each driver. The package's
+# generate_match and bayes_scores must reproduce it bit for bit.
+
+
+def _nonhealth_logit(cfg, pos, visible, tower_team, tower_pos, tower_alive):
+    """Death-independent hazard terms per tick: bias + enemies + tower + vis.
+
+    Everything here is a plain function of recorded position/visibility/
+    tower fields, shared verbatim between the generator and the oracle.
+    """
+    diff = pos[:, :, None, :] - pos[:, None, :, :]
+    d = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
+    enemy_mask = _TEAM_OF_SLOT[:, None] != _TEAM_OF_SLOT[None, :]
+    near = (d < cfg.enemy_radius) & enemy_mask[None, :, :]
+    enemies_near = near.sum(axis=2) / 5.0
+
+    if tower_team is not None and len(tower_team):
+        tdiff = pos[:, :, None, :] - tower_pos[None, None, :, :]
+        td = np.sqrt(tdiff[..., 0] ** 2 + tdiff[..., 1] ** 2)  # (n, 10, T)
+        enemy_tower = tower_team[None, None, :] != _TEAM_OF_SLOT[None, :, None]
+        in_range = (td < cfg.tower_radius) & enemy_tower & tower_alive[:, None, :]
+        tower_flag = in_range.any(axis=2).astype(np.float64)
+    else:
+        tower_flag = np.zeros(pos.shape[:2])
+
+    window_ticks = max(1, int(round(cfg.visibility_window / cfg.tick_interval)))
+    vis_frac = _trailing_mean(visible, window_ticks)
+
+    return (cfg.hazard_bias
+            + cfg.hazard_enemies_near * enemies_near
+            + cfg.hazard_enemy_tower * tower_flag
+            + cfg.hazard_visibility * vis_frac)
+
+
+def _contact_rate(cfg, pos):
+    """Per-tick live-health drift in hp/s: regen when alone, damage scaled
+    by the number of nearby enemies otherwise. Death-independent."""
+    diff = pos[:, :, None, :] - pos[:, None, :, :]
+    d = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
+    enemy_mask = _TEAM_OF_SLOT[:, None] != _TEAM_OF_SLOT[None, :]
+    cnt = ((d < cfg.enemy_radius) & enemy_mask[None, :, :]).sum(axis=2)
+    return np.where(cnt == 0, cfg.regen, -cfg.damage_per_enemy * cnt)
+
+
+def reference_generate_match(cfg, match_seed):
+    """synth.generate_match as numpy calls on the ten heroes at every tick;
+    the package's form must give equal records and equal bytes."""
+    validate_config(cfg)
+    rng_move, rng_death, rng_misc = spawn_rngs((cfg.seed, match_seed), 3)
+    n = cfg.n_frames
+    dt = cfg.tick_interval
+    times = np.arange(n, dtype=np.float64) * dt
+    h10 = md.N_HEROES
+
+    # --- fixed per-match draws (rng_misc, fixed order) ---
+    hero_ids = np.sort(rng_misc.choice(cfg.roster_size, size=h10, replace=False))
+    base_attrs = rng_misc.uniform(10.0, 30.0, size=(h10, 8))
+    primary_attr = rng_misc.integers(0, 3, size=h10).astype(np.float64)
+    damage = rng_misc.uniform(40.0, 90.0, size=h10)
+    n_towers = 2 * cfg.towers_per_team
+    tower_team = np.repeat(np.array([0, 1], dtype=np.int8), cfg.towers_per_team)
+    tower_pos = np.zeros((n_towers, 2))
+    for j in range(n_towers):
+        lo = 0.05 if tower_team[j] == 0 else 0.5
+        tower_pos[j] = rng_misc.uniform(lo * cfg.map_size, (lo + 0.45) * cfg.map_size, size=2)
+    tower_dies = rng_misc.random(n_towers) < cfg.tower_death_fraction
+    tower_death_time = np.where(
+        tower_dies, rng_misc.uniform(0.3, 0.9, size=n_towers) * times[-1], np.inf)
+    item_counts = rng_misc.integers(2, 5, size=h10)
+    item_owned_const = np.zeros((h10, md.N_TRACKED_ITEMS), dtype=bool)
+    for s in range(h10):
+        owned = rng_misc.choice(md.N_TRACKED_ITEMS, size=item_counts[s], replace=False)
+        item_owned_const[s, owned] = True
+    gold_rate = rng_misc.uniform(4.0, 8.0, size=h10)  # gold per second
+    xp_rate = rng_misc.uniform(6.0, 12.0, size=h10)
+    mana_phase = rng_misc.uniform(0.0, 2 * np.pi, size=h10)
+
+    # --- movement: never reacts to deaths ---
+    pos_hist = np.zeros((n, h10, 2))
+    center = cfg.map_size / 2.0
+    if cfg.movement == "orbit":
+        r0 = rng_move.uniform(0.10 * cfg.map_size, 0.46 * cfg.map_size, size=h10)
+        th0 = rng_move.uniform(0.0, 2.0 * np.pi, size=h10)
+        pos = np.stack([center + r0 * np.cos(th0), center + r0 * np.sin(th0)], axis=1)
+    else:
+        pos = rng_move.uniform(0, cfg.map_size, size=(h10, 2))
+    wp = rng_move.uniform(0, cfg.map_size, size=(h10, 2))
+    hold = np.zeros(h10)
+    dwelling = np.zeros(h10, dtype=bool)
+    step = cfg.move_speed * dt
+    r_lo, r_hi = 0.05 * cfg.map_size, 0.47 * cfg.map_size
+    for k in range(n):
+        pos_hist[k] = pos
+        if cfg.movement == "orbit":
+            rel = pos - center
+            r = np.sqrt(rel[:, 0] ** 2 + rel[:, 1] ** 2)
+            theta = np.arctan2(rel[:, 1], rel[:, 0])
+            theta = theta + cfg.move_speed / np.maximum(r, 1e-9) * dt
+            r = np.clip(r + cfg.radial_amp * np.cos(cfg.wave_lobes * theta) * dt, r_lo, r_hi)
+            pos = np.stack([center + r * np.cos(theta), center + r * np.sin(theta)], axis=1)
+        else:
+            if cfg.waypoint_hold_mean > 0:
+                hold[dwelling] -= dt
+                expired = dwelling & (hold <= 0)
+                n_exp = int(expired.sum())
+                if n_exp:
+                    wp[expired] = rng_move.uniform(0, cfg.map_size, size=(n_exp, 2))
+                    dwelling[expired] = False
+            walking = ~dwelling
+            delta = wp - pos
+            dist = np.sqrt(delta[:, 0] ** 2 + delta[:, 1] ** 2)
+            arrive = walking & (dist <= step)
+            n_arr = int(arrive.sum())
+            pos = pos.copy()
+            if n_arr:
+                pos[arrive] = wp[arrive]
+                if cfg.waypoint_hold_mean > 0:
+                    hold[arrive] = rng_move.exponential(cfg.waypoint_hold_mean, size=n_arr)
+                    dwelling[arrive] = True
+                else:
+                    wp[arrive] = rng_move.uniform(0, cfg.map_size, size=(n_arr, 2))
+            go = walking & ~arrive
+            pos[go] += step * delta[go] / dist[go, None]
+
+    diff = pos_hist[:, :, None, :] - pos_hist[:, None, :, :]
+    d_all = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
+    enemy_mask = _TEAM_OF_SLOT[:, None] != _TEAM_OF_SLOT[None, :]
+    visible = ((d_all < cfg.sight_radius) & enemy_mask[None]).any(axis=2)
+    tower_alive = times[:, None] < tower_death_time[None, :]
+    pre = _nonhealth_logit(cfg, pos_hist, visible, tower_team, tower_pos, tower_alive)
+    rate = _contact_rate(cfg, pos_hist)
+
+    # --- health + death + respawn process ---
+    # Tick order: respawn draw (dead heroes, full health on success), record
+    # the snapshot, death coin for alive heroes, then evolve live health.
+    # Both coin streams are pre-drawn so they never depend on outcomes.
+    u = rng_death.random((n, h10))  # death coins
+    v = rng_death.random((n, h10))  # respawn coins
+    p_r = _respawn_prob(cfg, dt)
+    alive = np.ones((n, h10), dtype=bool)
+    health_rec = np.zeros((n, h10))
+    cur_alive = np.ones(h10, dtype=bool)
+    h = np.full(h10, cfg.max_health)
+    deaths_per_hero = [[] for _ in range(h10)]  # (tick, time) pairs
+    for k in range(n):
+        reborn = ~cur_alive & (v[k] < p_r)
+        cur_alive |= reborn
+        h[reborn] = cfg.max_health
+        alive[k] = cur_alive
+        health_rec[k] = np.where(cur_alive, h, 0.0)
+        if k < n - 1:  # the final tick fires no deaths
+            lam_k = _health_lam(cfg, pre[k], h)
+            die = cur_alive & (u[k] < lam_k)
+            if die.any():
+                tau = times[k] + dt / 2.0
+                for s in np.flatnonzero(die):
+                    deaths_per_hero[s].append((int(k), tau))
+                cur_alive &= ~die
+        h = np.where(cur_alive, _roll_health(cfg, h, rate[k], dt), h)
+
+    death_slot, death_time = [], []
+    for s in range(h10):
+        for _, tau in deaths_per_hero[s]:
+            death_slot.append(s)
+            death_time.append(tau)
+    order = np.lexsort((death_slot, death_time))
+    death_slot = np.array(death_slot, dtype=np.int8)[order]
+    death_time = np.array(death_time, dtype=np.float64)[order]
+
+    # --- assemble record fields ---
+    deaths_cum = np.zeros((n, h10))
+    kills_cum = np.zeros((n, h10))
+    for s in range(h10):
+        enemies = np.flatnonzero(enemy_mask[s])
+        for k, _tau in deaths_per_hero[s]:
+            deaths_cum[k + 1:, s] += 1.0
+            killer = enemies[np.argmin(d_all[k, s][enemies])]
+            kills_cum[k + 1:, killer] += 1.0
+
+    mana_max = np.full((n, h10), 300.0)
+    mana = 300.0 * (0.5 + 0.5 * np.sin(2 * np.pi * times[:, None] / 45.0 + mana_phase))
+
+    state = np.zeros((n, h10, md.N_STATE_ATTRS))
+    state[:, :, 0:8] = base_attrs[None]
+    state[:, :, 8] = mana
+    state[:, :, 9] = mana_max
+    state[:, :, 12] = 1.0 + np.floor(times[:, None] / 60.0)
+    state[:, :, 13] = primary_attr[None]
+    state[:, :, 14] = cfg.move_speed
+    state[:, :, 15] = health_rec
+    state[:, :, 16] = cfg.max_health
+    state[:, :, 17] = damage[None] * 1.1
+    state[:, :, 18] = damage[None] * 0.9
+    state[:, :, 19] = (~alive).astype(np.float64)
+    state[:, :, 20] = visible.astype(np.float64)
+
+    stats = np.zeros((n, h10, md.N_STAT_ATTRS))
+    stats[:, :, 2] = 1.0 + np.floor(times[:, None] / 60.0)
+    stats[:, :, 3] = kills_cum
+    stats[:, :, 4] = deaths_cum
+    stats[:, :, md.GOLD_STAT_INDEX] = gold_rate[None] * times[:, None] + 120.0 * kills_cum
+    stats[:, :, 14] = np.floor(0.8 * times[:, None])
+    stats[:, :, 15] = xp_rate[None] * times[:, None]
+
+    item_owned = np.broadcast_to(item_owned_const[None], (n, h10, md.N_TRACKED_ITEMS)).copy()
+    item_cooldown = np.zeros((n, h10, md.N_TRACKED_ITEMS))
+    abilities = np.zeros((n, h10, md.N_ABILITY_SLOTS, md.N_ABILITY_ATTRS))
+    abilities[:, :, :4, 0] = 1.0
+    ability_count = np.full((n, h10), 4, dtype=np.int8)
+
+    cols = dict(
+        tick=np.arange(n, dtype=np.int64), game_time=times,
+        paused=np.zeros(n, dtype=bool),
+        alive=alive, health=health_rec, max_health=np.full((n, h10), cfg.max_health),
+        mana=mana, max_mana=mana_max, pos=pos_hist, visible=visible,
+        state=state, stats=stats, item_owned=item_owned, item_cooldown=item_cooldown,
+        abilities=abilities, ability_count=ability_count,
+        tower_alive=tower_alive,
+    )
+    if cfg.pause_count > 0 and cfg.pause_length_ticks > 0:
+        cols = _inject_pauses(cols, cfg, rng_misc)
+
+    return md.MatchRecord(
+        match_id=f"synth-{generator_hash(cfg)}-{int(match_seed)}",
+        tick_interval=dt, roster_size=cfg.roster_size, hero_ids=hero_ids,
+        tower_team=tower_team, tower_pos=tower_pos,
+        death_slot=death_slot, death_time=death_time,
+        **cols,
+    )
+
+
+def _inject_pauses(cols, cfg, rng):
+    """Splice frozen-clock paused frames after random unpaused positions."""
+    n = len(cols["tick"])
+    starts = np.sort(rng.integers(1, n - 1, size=cfg.pause_count))
+    src = []
+    paused_flags = []
+    for k in range(n):
+        src.append(k)
+        paused_flags.append(False)
+        if k in starts:
+            reps = int((starts == k).sum()) * cfg.pause_length_ticks
+            src.extend([k] * reps)
+            paused_flags.extend([True] * reps)
+    src = np.array(src)
+    paused = np.array(paused_flags)
+    out = {}
+    for name, arr in cols.items():
+        if name == "tick":
+            out[name] = np.arange(len(src), dtype=np.int64)
+        elif name == "paused":
+            out[name] = paused
+        else:
+            out[name] = arr[src]
+    return out
+
+
+def reference_match_drivers(cfg, m):
+    """(pre, rate) of a record, each driver computing its own distances."""
+    pre = _nonhealth_logit(cfg, m.pos, m.visible, m.tower_team, m.tower_pos, m.tower_alive)
+    rate = _contact_rate(cfg, m.pos)
+    return pre, rate
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,14 @@ class TestOptionResolution:
         assert len(err) == 1 and err[0].startswith("error\tkind=UsageError\texit=2\t")
         assert list(tmp_path.iterdir()) == []
 
+    def test_synth_pauses_on_two_frames_is_invalid_config(self, tmp_path, capsys):
+        out = tmp_path / "raw"
+        assert run_cli("synth", "--out", str(out), "--matches", "1", "--frames", "2",
+                       "--pauses", "1", "--pause-ticks", "5") == cli.EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error\tkind=InvalidConfig\texit=3\t")
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def pipeline_dirs(tmp_path_factory):

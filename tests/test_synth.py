@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from deathcast.errors import ForeignMatch, InvalidConfig, NoPositives
 from deathcast.evaluation import average_precision, pr_curve
 from deathcast.synth import (_health_lam, _match_drivers, _respawn_prob, _roll_health)
 
-from oracles import bayes_probability, expected_death_count
+from oracles import (bayes_probability, expected_death_count, reference_generate_match,
+                     reference_match_drivers)
 
 
 def small_cfg(**kw):
@@ -59,6 +62,13 @@ class TestGenerate:
         with pytest.raises(InvalidConfig):
             sy.validate_config(small_cfg(movement="teleport"))
 
+    def test_pauses_on_two_frames_rejected(self):
+        # a pause follows a frame strictly inside the match; two frames have none
+        with pytest.raises(InvalidConfig):
+            sy.validate_config(small_cfg(n_frames=2, pause_count=1, pause_length_ticks=5))
+        sy.validate_config(small_cfg(n_frames=3, pause_count=1, pause_length_ticks=5))
+        sy.validate_config(small_cfg(n_frames=2, pause_count=1, pause_length_ticks=0))
+
     def test_dead_heroes_show_zero_health(self):
         cfg = small_cfg(n_frames=1200)
         m = sy.generate_match(cfg, 2)
@@ -83,6 +93,65 @@ class TestGenerate:
             expected += expected_death_count(cfg, m)
         sigma = np.sqrt(expected)
         assert abs(total - expected) <= 3 * sigma, (total, expected)
+
+
+# The configs on which the generator must reproduce the reference bit for
+# bit; each names the path it covers. At the default speed a hero seldom
+# reaches a waypoint within 400 frames, so the arrival paths run faster.
+REFERENCE_CONFIGS = {
+    "waypoint": {},
+    "waypoint_arrivals": dict(move_speed=40.0),
+    "waypoint_hold": dict(waypoint_hold_mean=2.0, move_speed=40.0),
+    "orbit": dict(movement="orbit"),
+    "pauses": dict(pause_count=3, pause_length_ticks=20),
+    "high_hazard_fast_respawn": dict(damage_per_enemy=600.0, enemy_radius=40.0,
+                                     respawn_delay=1.0),
+    "instant_respawn": dict(damage_per_enemy=600.0, enemy_radius=40.0, respawn_delay=0.0),
+    "zero_hazard": dict(hazard_bias=-60.0, hazard_low_health=0.0, hazard_enemies_near=0.0,
+                        hazard_enemy_tower=0.0, hazard_visibility=0.0),
+    "two_frames": dict(n_frames=2),
+    "no_towers": dict(towers_per_team=0),
+}
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
+    def test_same_records_bytes_and_oracle(self, name, monkeypatch):
+        cfg = small_cfg(**{"n_frames": 400, **REFERENCE_CONFIGS[name]})
+        for match_seed in (0, 1, 2):
+            m = sy.generate_match(cfg, match_seed)
+            ref = reference_generate_match(cfg, match_seed)
+            assert m == ref
+            assert md.write_match(m) == md.write_match(ref)
+            clean = md.strip_pauses(m)
+            idx = ds.downsample(clean, 4)
+            scores = sy.bayes_scores(cfg, clean, indices=idx)
+            with monkeypatch.context() as patched:
+                patched.setattr(sy, "_match_drivers", reference_match_drivers)
+                ref_scores = sy.bayes_scores(cfg, clean, indices=idx)
+            assert np.array_equal(scores, ref_scores)
+
+    def test_time_constant_columns_are_read_only_and_held_once(self):
+        m = sy.generate_match(small_cfg(), 0)
+        for name in ("abilities", "item_cooldown", "item_owned", "max_health", "max_mana"):
+            assert getattr(m, name).strides[0] == 0, name
+        with pytest.raises(ValueError):
+            m.abilities[0, 0, 0, 0] = 2.0
+        with pytest.raises(ValueError):
+            m.max_health[0, 0] = 1.0
+
+    def test_peak_memory_of_one_match(self):
+        # a default 750-frame match peaked at 3.6 MB traced when its
+        # time-constant columns became views, against 8.9 MB when every
+        # column was materialized per frame
+        cfg = sy.SynthConfig(n_frames=750)
+        tracemalloc.start()
+        try:
+            sy.generate_match(cfg, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.0e6, peak
 
 
 class TestBayesProbability:
