@@ -62,6 +62,7 @@ _RANGES = {
     "val_interval": (lambda v: v >= 1, ">= 1"),
     "batch": (lambda v: v >= 2 and v % 2 == 0, "a positive even number"),
     "budget": (lambda v: v >= 1, ">= 1"),
+    "threshold": (lambda v: 0 <= v <= 1, "in [0, 1]"),
 }
 
 
@@ -219,24 +220,25 @@ def _check_store_name(match_id):
 
 def _ingest_file(job):
     """Worker: read, parse, check and encode the i-th match file, and write
-    its record and validated text (gunzipped) to <out>/.ingest-<i>.dmatch.tmp
-    and .ingest-<i>.jsonl.tmp. Returns the DeathcastError that rejects the
-    file, or (match_id, roster_size, n_frames, encoding error or None); the
-    caller reports an encoding error only after its duplicate and roster
-    checks."""
+    its validated text (gunzipped) and its record, which keeps the digest
+    of that text, to <out>/.ingest-<i>.jsonl.tmp and .ingest-<i>.dmatch.tmp.
+    Returns the DeathcastError that rejects the file, or (match_id,
+    roster_size, n_frames, encoding error or None); the caller reports an
+    encoding error only after its duplicate and roster checks."""
     i, path, out = job
     try:
         raw = path.read_bytes()
-        m = md.parse_match(raw)
+        m = md.parse_match(raw)  # the raw bytes, so a doubly gzipped file is refused
         _check_store_name(m.match_id)
+        text = md.gunzip(raw)
     except DeathcastError as exc:
         return exc
     try:
-        record = md.encode_match(m)
+        record = md.encode_match(m, source=text)
     except DeathcastError as exc:
         return m.match_id, m.roster_size, m.n_frames, exc
     (out / f".ingest-{i}.dmatch.tmp").write_bytes(record)
-    (out / f".ingest-{i}.jsonl.tmp").write_bytes(md.gunzip(raw))
+    (out / f".ingest-{i}.jsonl.tmp").write_bytes(text)
     return m.match_id, m.roster_size, m.n_frames, None
 
 
@@ -297,15 +299,13 @@ def cmd_extract(args, opt):
         schema_roster = md.load_match(rows[0][1]).roster_size
     schema = ft.feature_schema(opt.schema, roster_size=schema_roster)
 
-    def provider():
-        return (md.load_match(path) for _, path in rows)
-
+    paths = dict(rows)
     manifest = ds.build_dataset(
-        provider, args.out, schema,
+        lambda ids: (md.load_match(paths[mid]) for mid in ids), args.out, schema,
         window=opt.window_seconds, period_ticks=opt.period_ticks,
         drop_fraction=args.drop_fraction,
         split_seed=opt.seed, shuffle_seed=opt.seed + 1, drop_seed=opt.seed + 2,
-        threads=opt.threads,
+        threads=opt.threads, match_ids=[mid for mid, _ in rows],
     )
     print(f"dataset at {args.out}: train {manifest.counts['train']} samples in "
           f"{len(manifest.shard_paths['train'])} shards, "

@@ -451,7 +451,7 @@ def match_samples(m, schema, window=5.0, period_ticks=4):
 
 def build_dataset(match_provider, out_dir, schema, window=5.0, period_ticks=4,
                   drop_fraction=0.5, split_seed=0, shuffle_seed=0, drop_seed=0,
-                  threads=1) -> DatasetManifest:
+                  threads=1, match_ids=None) -> DatasetManifest:
     """One-pass dataset build: each match is loaded and prepared once.
 
     `match_provider()` is called once and returns an iterator of
@@ -461,6 +461,12 @@ def build_dataset(match_provider, out_dir, schema, window=5.0, period_ticks=4,
     normalized, rebalanced, shuffled and written as shards. Test matches are
     never sharded or rebalanced: the test split is evaluated straight from
     its match records.
+
+    Given every id in stream order as `match_ids`, the split is made from
+    them first and `match_provider(ids)` is called with only the train and
+    val ids, in that order, so no test match is loaded; it must yield
+    exactly those records in that order (SchemaViolation otherwise). The
+    shards are the same as from a provider of every match.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -470,9 +476,20 @@ def build_dataset(match_provider, out_dir, schema, window=5.0, period_ticks=4,
         _, _, feats, labels, gt = match_samples(m, schema, window, period_ticks)
         return [m.match_id, feats, labels, gt.astype("<f4")]
 
-    prepared = [block for chunk in _chunks(match_provider(), threads)
+    if match_ids is None:
+        split, stream = None, match_provider()
+    else:
+        split = split_matches(match_ids, seed=split_seed)
+        held = set(split.train) | set(split.val)
+        wanted = [mid for mid in match_ids if mid in held]
+        stream = match_provider(wanted)
+    prepared = [block for chunk in _chunks(stream, threads)
                 for block in ordered_map(prepare, chunk, threads)]
-    split = split_matches([block[0] for block in prepared], seed=split_seed)
+    if split is None:
+        split = split_matches([block[0] for block in prepared], seed=split_seed)
+    elif [block[0] for block in prepared] != wanted:
+        raise SchemaViolation("the match provider did not yield the train and val matches "
+                              "of match_ids in their order")
     if not split.train:
         raise SchemaViolation("no training matches in the split")
     parts = {"train": [], "val": []}

@@ -26,14 +26,18 @@ may). Death times are full-resolution seconds, independent of frame times.
 
 STORE RECORD (binary, framed by util.seal without a variant code): the
 header below, then every column as a little-endian array in `_COLUMNS`
-order, then the match id in UTF-8. `ingest` writes one per match so later
-stages decode columns instead of parsing text; `load_match` tells the two
-forms apart by their leading magic bytes.
+order, the match id in UTF-8 and, from version 2 on, the 16-byte blake2b
+of the match text the record was encoded from (zero without one).
+`ingest` writes one per match so later stages decode columns instead of
+parsing text; `load_match` tells the two forms apart by their leading
+magic bytes, and takes a match file's record in place of its text when
+that digest says they hold the same match.
 """
 
 from __future__ import annotations
 
 import gzip
+import hashlib
 import io
 import json
 import math
@@ -46,7 +50,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import ChecksumMismatch, EmptyMatch, MalformedRecord, SchemaViolation
+from .errors import (ChecksumMismatch, DeathcastError, EmptyMatch, MalformedRecord,
+                     SchemaViolation)
 from .util import seal, unseal, write_atomic
 
 N_HEROES = 10
@@ -660,14 +665,29 @@ def save_match(m: MatchRecord, path, compress=None):
 # Store records
 
 MATCH_MAGIC = b"DMR1"
-MATCH_VERSION = 1
+MATCH_VERSION = 2
 # magic, version, has_towers, pad, match id bytes, frames, deaths, towers,
 # roster_size, tick_interval
 _HEADER = struct.Struct("<4sHBBIIIIqd")
+# A version 2 body ends with the digest of its source text. Version 1
+# records, which end at the match id, are still read.
+_DIGEST_SIZE = 16
+_VERSION_BYTES = {v: struct.pack("<H", v) for v in (1, MATCH_VERSION)}
 
 
-def encode_match(m: MatchRecord) -> bytes:
-    """The match as a sealed store record; decode_match inverts it exactly."""
+def _text_digest(text) -> bytes:
+    """The 16-byte blake2b of match text that a store record keeps."""
+    return hashlib.blake2b(text, digest_size=_DIGEST_SIZE).digest()
+
+
+def encode_match(m: MatchRecord, source=None) -> bytes:
+    """The match as a sealed store record; decode_match inverts it exactly.
+
+    source is the match text (uncompressed bytes) that m was parsed from.
+    The record ends with its 16-byte blake2b, or with 16 zero bytes when
+    there is no source, and load_match takes the record in place of
+    exactly that text.
+    """
     try:
         match_id = m.match_id.encode("utf-8")
         n_towers = len(m.tower_team) if m.has_towers else 0
@@ -675,8 +695,9 @@ def encode_match(m: MatchRecord) -> bytes:
                   m.roster_size, m.tick_interval)
         columns = [np.ascontiguousarray(getattr(m, name), dtype=dtype)
                    for name, dtype, _ in _COLUMNS if getattr(m, name) is not None]
+        digest = bytes(_DIGEST_SIZE) if source is None else _text_digest(source)
         return seal(_HEADER, MATCH_MAGIC, MATCH_VERSION, None, *header,
-                    body=[*columns, match_id])
+                    body=[*columns, match_id, digest])
     except (UnicodeEncodeError, struct.error) as exc:
         raise SchemaViolation(f"match {m.match_id!r} does not fit a store record: {exc}") \
             from None
@@ -686,9 +707,11 @@ def decode_match(blob) -> MatchRecord:
     """A store record back to its MatchRecord, with parse_match's guarantees.
 
     Every header count is checked against the bytes present before any
-    column is read; the columns are read-only views of the blob.
+    column is read; the columns are read-only views of the blob. Version 1
+    records (no source digest) decode too.
     """
-    _, header, framed = unseal(blob, _HEADER, MATCH_MAGIC, MATCH_VERSION, "match record",
+    version = 1 if blob[4:6] == _VERSION_BYTES[1] else MATCH_VERSION
+    _, header, framed = unseal(blob, _HEADER, MATCH_MAGIC, version, "match record",
                                has_variant=False)
     has_towers, pad, id_len, *counts, roster_size, tick_interval = header
     counts = dict(zip(("frames", "deaths", "towers"), counts))
@@ -696,8 +719,8 @@ def decode_match(blob) -> MatchRecord:
         raise ChecksumMismatch(f"match record header flags {has_towers}/{pad} are corrupt")
     layout = [(name, np.dtype(dtype), tuple(counts.get(d, d) for d in shape))
               for name, dtype, shape in _COLUMNS if has_towers or name not in _TOWER_COLUMNS]
-    expected = _HEADER.size + id_len + sum(math.prod(shape) * dtype.itemsize
-                                           for _, dtype, shape in layout)
+    expected = (_HEADER.size + id_len + (_DIGEST_SIZE if version > 1 else 0)
+                + sum(math.prod(shape) * dtype.itemsize for _, dtype, shape in layout))
     if len(framed) != expected:
         raise ChecksumMismatch(f"match record body is {len(framed)} bytes, expected {expected}")
     cols = dict.fromkeys(_TOWER_COLUMNS)
@@ -706,7 +729,7 @@ def decode_match(blob) -> MatchRecord:
         cols[name] = np.frombuffer(framed, dtype, math.prod(shape), at).reshape(shape)
         at += cols[name].nbytes
     try:
-        match_id = bytes(framed[at:]).decode("utf-8")
+        match_id = bytes(framed[at:at + id_len]).decode("utf-8")
     except UnicodeDecodeError:
         raise SchemaViolation("match record id is not UTF-8") from None
     _check_expressible(cols)
@@ -734,10 +757,42 @@ def _check_expressible(cols):
 
 def load_match(path) -> MatchRecord:
     """A match from a store record or a line-format file (gzip accepted),
-    told apart by the file's leading magic bytes."""
+    told apart by the file's leading magic bytes.
+
+    A `<id>.jsonl` file whose sibling `<id>.dmatch` is a version 2 record
+    of exactly the bytes read (its source digest equals theirs, as ingest
+    writes the pair) is served by decoding that record, which is
+    checksummed and validated, instead of parsing the text; the result is
+    equal, with read-only columns as every decoded record has. A sibling
+    that is missing, unreadable, version 1, of other text or corrupt
+    leaves the text to be parsed.
+    """
     with open(path, "rb") as f:
         data = f.read()
-    return decode_match(data) if data[:4] == MATCH_MAGIC else parse_match(data)
+    if data[:4] == MATCH_MAGIC:
+        return decode_match(data)
+    path = str(path)
+    if path.endswith(".jsonl"):
+        record = _record_of_text(path[:-len(".jsonl")] + ".dmatch", data)
+        if record is not None:
+            return record
+    return parse_match(data)
+
+
+def _record_of_text(path, text):
+    """The store record at path if it was encoded from text, else None."""
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except OSError:
+        return None
+    if (blob[4:6] != _VERSION_BYTES[MATCH_VERSION]
+            or blob[-8 - _DIGEST_SIZE:-8] != _text_digest(text)):
+        return None
+    try:
+        return decode_match(blob)
+    except DeathcastError:
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ from deathcast import features as ft
 from deathcast import match_data as md
 from deathcast import model as mo
 from deathcast import synth as sy
+from deathcast.errors import SchemaViolation
 from deathcast.synth import (_TEAM_OF_SLOT, _health_lam, _respawn_prob, _roll_health,
                              _trailing_mean, generator_hash, validate_config)
-from deathcast.util import spawn_rngs
+from deathcast.util import seal, spawn_rngs
 
 
 def brute_force_labels(m, window):
@@ -643,3 +644,27 @@ def reference_encode_checkpoint(params, stats, step=0):
     parts += [arr.astype(le).tobytes() for _, arr in params.arrays()]
     body = b"".join(parts)
     return body + hashlib.blake2b(body, digest_size=8).digest()
+
+
+# ---------------------------------------------------------------------------
+# Store record version 1, which ends at the match id: what stores ingested
+# before the source digest hold
+
+
+_V1_HEADER = struct.Struct("<4sHBBIIIIqd")
+
+
+def reference_encode_match_v1(m):
+    """The match as a sealed version 1 store record."""
+    try:
+        match_id = m.match_id.encode("utf-8")
+        n_towers = len(m.tower_team) if m.has_towers else 0
+        header = (m.has_towers, 0, len(match_id), m.n_frames, len(m.death_slot), n_towers,
+                  m.roster_size, m.tick_interval)
+        columns = [np.ascontiguousarray(getattr(m, name), dtype=dtype)
+                   for name, dtype, _ in md._COLUMNS if getattr(m, name) is not None]
+        return seal(_V1_HEADER, md.MATCH_MAGIC, 1, None, *header,
+                    body=[*columns, match_id])
+    except (UnicodeEncodeError, struct.error) as exc:
+        raise SchemaViolation(f"match {m.match_id!r} does not fit a store record: {exc}") \
+            from None

@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import json
 import multiprocessing
 import re
@@ -9,8 +10,11 @@ import sys
 import pytest
 
 from deathcast import cli
+from deathcast import features as ft
 from deathcast import match_data as md
 from deathcast import synth as sy
+
+from oracles import reference_encode_match_v1
 
 
 def run_cli(*argv):
@@ -57,7 +61,7 @@ class TestOptionResolution:
 
     @pytest.mark.parametrize("var,value", [("SCHEMA", "bogus"), ("THREADS", "two"),
                                            ("WINDOW_SECONDS", "soon"), ("WINDOW_SECONDS", "nan"),
-                                           ("PERIOD_TICKS", "0")])
+                                           ("PERIOD_TICKS", "0"), ("THRESHOLD", "nan")])
     def test_bad_environment_value_is_usage_error(self, monkeypatch, capsys, var, value):
         monkeypatch.setenv(f"DEATHCAST_{var}", value)
         assert run_cli("schema-dump") == cli.EXIT_USAGE
@@ -65,7 +69,7 @@ class TestOptionResolution:
         assert len(err) == 1 and err[0].startswith("error\tkind=UsageError\texit=2\t")
 
     @pytest.mark.parametrize("line", ["schema=nope", "seed=five", "no equals sign",
-                                      "schmea=full", "period_ticks=0"])
+                                      "schmea=full", "period_ticks=0", "threshold=7"])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, line):
         conf = tmp_path / "opts.conf"
         conf.write_text(line + "\n")
@@ -77,6 +81,9 @@ class TestOptionResolution:
         ["extract", "--store", "s", "--out", "o", "--period-ticks", "0"],
         ["extract", "--store", "s", "--out", "o", "--drop-fraction", "1.5"],
         ["predict", "--checkpoint", "c", "--match", "m", "--out", "o", "--period-ticks", "0"],
+        ["predict", "--checkpoint", "c", "--match", "m", "--out", "o", "--threshold", "nan"],
+        ["eval", "--checkpoint", "c", "--data", "d", "--store", "s", "--report", "r",
+         "--threshold", "-1"],
         ["train", "--data", "d", "--out", "o", "--val-interval", "0"],
         ["train", "--data", "d", "--out", "o", "--batch", "7"],
         ["search", "--data", "d", "--out", "o", "--budget", "0"],
@@ -277,6 +284,43 @@ class TestPipeline:
         assert len(lines) > 10
         assert lines[1].count("\t") == 3
 
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_predict_on_store_text_decodes_its_record(self, pipeline_dirs, tmp_path,
+                                                      monkeypatch, compress):
+        root, raw, store, data, run = pipeline_dirs
+        own = tmp_path / "store"
+        assert run_cli("synth", "--out", str(tmp_path / "raw"), "--matches", "1",
+                       "--frames", "120", "--seed", "6", "--threads", "1",
+                       *(["--compress"] if compress else [])) == 0
+        assert run_cli("ingest", "--matches", str(tmp_path / "raw"), "--out", str(own)) == 0
+        (mid, record), = cli.read_store(own)
+        text = (own / f"{mid}.jsonl").read_bytes()
+        assert record.read_bytes()[-24:-8] == hashlib.blake2b(text, digest_size=16).digest()
+        (tmp_path / "copy.jsonl").write_bytes(text)  # no record beside it
+        predict = ["predict", "--checkpoint", str(run / "checkpoint.dckpt"), "--match"]
+        assert run_cli(*predict, str(tmp_path / "copy.jsonl"),
+                       "--out", str(tmp_path / "parsed.tsv")) == 0
+
+        def refuse(data):
+            raise AssertionError("parsed a match that ingest encoded")
+
+        monkeypatch.setattr(md, "parse_match", refuse)
+        assert run_cli(*predict, str(own / f"{mid}.jsonl"),
+                       "--out", str(tmp_path / "decoded.tsv")) == 0
+        assert (tmp_path / "decoded.tsv").read_bytes() == (tmp_path / "parsed.tsv").read_bytes()
+
+    def test_store_of_version_1_records_extracts_the_same(self, pipeline_dirs, tmp_path):
+        root, raw, store, data, run = pipeline_dirs
+        old = tmp_path / "store"
+        shutil.copytree(store, old)
+        for _, path in cli.read_store(old):
+            path.write_bytes(reference_encode_match_v1(md.load_match(path)))
+            assert path.read_bytes()[4:6] == b"\x01\x00"
+        assert run_cli("extract", "--store", str(old), "--out", str(tmp_path / "data"),
+                       "--schema", "minimal", "--seed", "3", "--threads", "1") == 0
+        for p in [*data.glob("*.shard"), data / "norm_stats.tsv", data / "manifest.tsv"]:
+            assert (tmp_path / "data" / p.name).read_bytes() == p.read_bytes()
+
     def test_search_runs(self, pipeline_dirs, tmp_path):
         root, raw, store, data, run = pipeline_dirs
         table = tmp_path / "trials.tsv"
@@ -301,6 +345,21 @@ class TestPipeline:
         root, raw, store, data, run = pipeline_dirs
         lines = (run / "metrics.tsv").read_text().splitlines()
         assert len(lines) == 3  # 1500 steps / 500 interval
+
+
+def test_extract_never_loads_a_test_match(tmp_path, monkeypatch):
+    raw, store = tmp_path / "raw", tmp_path / "store"
+    assert run_cli("synth", "--out", str(raw), "--matches", "10", "--frames", "100",
+                   "--seed", "1", "--pauses", "2", "--pause-ticks", "10", "--threads", "1") == 0
+    assert run_cli("ingest", "--matches", str(raw), "--out", str(store)) == 0
+    calls = []
+    decode, extract = md.decode_match, ft.extract_match
+    monkeypatch.setattr(md, "decode_match", lambda blob: calls.append("decode") or decode(blob))
+    monkeypatch.setattr(ft, "extract_match",
+                        lambda m, *args: calls.append("extract") or extract(m, *args))
+    assert run_cli("extract", "--store", str(store), "--out", str(tmp_path / "data"),
+                   "--schema", "medium", "--seed", "1", "--threads", "1") == 0
+    assert calls.count("decode") == calls.count("extract") == 9  # of 10: one is a test match
 
 
 class TestIngest:

@@ -439,6 +439,33 @@ class TestBuildDataset:
             seen.update(int(k) for k in shard.match_keys)
         assert seen <= train_keys
 
+    def test_split_from_match_ids_loads_no_test_match(self, tmp_path):
+        cfg = sy.SynthConfig(n_frames=150, seed=4)
+        matches = {m.match_id: m for m in (sy.generate_match(cfg, i) for i in range(10))}
+        ids = list(matches)
+        schema = ft.feature_schema("minimal")
+        every = ds.build_dataset(lambda: iter(matches.values()), tmp_path / "every", schema,
+                                 split_seed=1)
+        asked = []
+
+        def provider(wanted):
+            asked.extend(wanted)
+            return (matches[mid] for mid in wanted)
+
+        chosen = ds.build_dataset(provider, tmp_path / "chosen", schema, split_seed=1,
+                                  match_ids=ids)
+        assert len(every.split.test) == 1
+        assert asked == [mid for mid in ids if mid not in every.split.test]
+        assert chosen.split == every.split
+        names = sorted(p.name for p in (tmp_path / "every").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "chosen").iterdir())
+        for name in names:
+            assert ((tmp_path / "every" / name).read_bytes()
+                    == (tmp_path / "chosen" / name).read_bytes())
+        with pytest.raises(SchemaViolation, match="did not yield"):
+            ds.build_dataset(lambda wanted: (matches[mid] for mid in reversed(wanted)),
+                             tmp_path / "reversed", schema, split_seed=1, match_ids=ids)
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_one_provider_call_and_one_extraction_per_match(self, tmp_path, monkeypatch,
                                                             threads):

@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import json
 import re
 
@@ -11,7 +12,7 @@ from deathcast.errors import (ChecksumMismatch, DeathcastError, EmptyMatch, Malf
                               SchemaViolation, VersionMismatch)
 
 from conftest import header_mutations, random_match, reseal
-from oracles import reference_write_match
+from oracles import reference_encode_match_v1, reference_write_match
 
 
 def minimal_lines(n_frames=1, deaths=()):
@@ -420,6 +421,11 @@ class TestStoreRecord:
         assert md.load_match(tmp_path / "m.jsonl") == m
         assert md.load_match(tmp_path / "m.dmatch") == m
 
+    def test_version_1_records_decode(self, rng):
+        for _ in range(40):
+            m = random_match(rng)
+            assert md.decode_match(reference_encode_match_v1(m)) == m
+
     def test_corrupted_byte(self, rng):
         blob = bytearray(md.encode_match(random_match(rng)))
         blob[len(blob) // 2] ^= 0xFF
@@ -455,7 +461,7 @@ class TestStoreRecord:
     def test_non_utf8_match_id_is_typed_error(self, rng):
         m = random_match(rng, match_id="abcd")
         blob = bytearray(md.encode_match(m))
-        blob[-12:-8] = b"\xff\xfe\xfd\xfc"  # the id, just before the checksum
+        blob[-28:-24] = b"\xff\xfe\xfd\xfc"  # the id, before the source digest and checksum
         with pytest.raises(SchemaViolation, match="UTF-8"):
             md.decode_match(reseal(blob))
 
@@ -495,3 +501,76 @@ class TestStoreRecord:
             md.encode_match(m.replace(roster_size=2**70))
         with pytest.raises(SchemaViolation):
             md.encode_match(m.replace(match_id="\ud800"))
+
+
+class TestLoadMatchReusesRecord:
+    """load_match on <id>.jsonl decodes the <id>.dmatch beside it when that
+    record holds the digest of exactly the text read, and parses the text
+    otherwise."""
+
+    @pytest.fixture
+    def stored(self, rng, tmp_path):
+        m = random_match(rng, n_frames=6)
+        text = md.write_match(m)
+        (tmp_path / "m.jsonl").write_bytes(text)
+        (tmp_path / "m.dmatch").write_bytes(md.encode_match(m, source=text))
+        return m, text, tmp_path
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """The inputs of every parse_match call."""
+        calls = []
+        parse = md.parse_match
+
+        def counted(data):
+            calls.append(data)
+            return parse(data)
+
+        monkeypatch.setattr(md, "parse_match", counted)
+        return calls
+
+    def test_record_of_the_same_text_is_decoded(self, stored, parsed):
+        m, text, d = stored
+        got = md.load_match(d / "m.jsonl")
+        assert got == m and parsed == []
+        assert not got.health.flags.writeable
+        blob = (d / "m.dmatch").read_bytes()
+        assert blob[-24:-8] == hashlib.blake2b(text, digest_size=16).digest()
+        assert md.encode_match(m)[-24:-8] == bytes(16)
+
+    @pytest.mark.parametrize("case", ["edited digit", "other match", "version 1",
+                                      "body byte flipped", "missing", "unreadable"])
+    def test_any_other_sibling_leaves_the_text_parsed(self, rng, stored, parsed, case):
+        m, text, d = stored
+        sibling = d / "m.dmatch"
+        if case == "edited digit":  # same length, still a valid match
+            at = text.index(b'"pos_x":') + len(b'"pos_x":')
+            text = text[:at] + str((int(chr(text[at])) + 1) % 10).encode() + text[at + 1:]
+            (d / "m.jsonl").write_bytes(text)
+        elif case == "other match":
+            other = random_match(rng)
+            sibling.write_bytes(md.encode_match(other, source=md.write_match(other)))
+        elif case == "version 1":
+            sibling.write_bytes(reference_encode_match_v1(m))
+        elif case == "body byte flipped":  # not resealed, so the checksum fails
+            blob = bytearray(sibling.read_bytes())
+            blob[md._HEADER.size] ^= 0xFF
+            sibling.write_bytes(bytes(blob))
+        elif case == "missing":
+            sibling.unlink()
+        else:
+            sibling.unlink()
+            sibling.mkdir()
+        got = md.load_match(d / "m.jsonl")
+        assert parsed == [text]
+        assert got == md.parse_match(text)
+        assert (got == m) == (case != "edited digit")
+
+    def test_gzip_path_is_parsed(self, stored, parsed):
+        m, text, d = stored
+        packed = gzip.compress(text, mtime=0)
+        (d / "m.jsonl.gz").write_bytes(packed)
+        for name in ("m.dmatch", "m.jsonl.dmatch"):
+            (d / name).write_bytes(md.encode_match(m, source=packed))
+        assert md.load_match(d / "m.jsonl.gz") == m
+        assert parsed == [packed]
