@@ -171,8 +171,7 @@ def _average_ranks(v):
     starts = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1]])
     ends = np.r_[starts[1:], n]
     ranks = np.empty(n)
-    for st, en in zip(starts, ends):
-        ranks[order[st:en]] = 0.5 * (st + 1 + en)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
     return ranks
 
 

@@ -5,14 +5,18 @@ Every hero slot gets the same ordered feature layout. The `full` variant is
 (109); `minimal` is the 15-feature core (health, gold, position, hero and
 tower proximities). `dump_schema` prints the exact order.
 
-`extract_match` extracts every sampled frame of a match at once; the
-change and visibility-history features are relative to the previous
-sampled frame. The test suite checks it against a frame-at-a-time
+The block table (`_full_blocks`, narrowed per variant by `_layout`) is the
+one statement of that layout: `feature_schema` takes the names from it and
+`extract_match` fills the columns from it, so only the blocks a schema names
+are computed. `extract_match` extracts every sampled frame of a match at
+once; the change and visibility-history features are relative to the
+previous sampled frame. The test suite checks it against a frame-at-a-time
 reference in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -26,14 +30,11 @@ log = logging.getLogger(__name__)
 
 VARIANTS = ("minimal", "medium", "full")
 
-# Static slot index tables: allies exclude the hero itself.
-_ALLY_IDX = []
-_ENEMY_IDX = []
-for _s in range(md.N_HEROES):
-    _team = md.TEAM_A_SLOTS if _s in md.TEAM_A_SLOTS else md.TEAM_B_SLOTS
-    _other = md.TEAM_B_SLOTS if _s in md.TEAM_A_SLOTS else md.TEAM_A_SLOTS
-    _ALLY_IDX.append(np.array([t for t in _team if t != _s]))
-    _ENEMY_IDX.append(np.array(_other))
+# Per slot: its team (0 = A, 1 = B), its allies (itself excluded) and its enemies.
+_TEAM_OF_SLOT = np.isin(np.arange(md.N_HEROES), md.TEAM_B_SLOTS).astype(np.int8)
+_SAME_TEAM = _TEAM_OF_SLOT[:, None] == _TEAM_OF_SLOT[None, :]
+_ALLY_IDX = np.array([np.flatnonzero(r) for r in _SAME_TEAM & ~np.eye(md.N_HEROES, dtype=bool)])
+_ENEMY_IDX = np.array([np.flatnonzero(r) for r in ~_SAME_TEAM])
 
 N_VIS_FLAGS = 10  # trailing whole seconds of visibility, newest first
 
@@ -60,53 +61,49 @@ class FeatureSchema:
 
 
 def _full_blocks(roster_size):
-    blocks = [("time", ["time"])]
-    blocks.append(("state", [f"state_{n}" for n in md.STATE_ATTR_NAMES]))
-    blocks.append(("stats", [f"stat_{n}" for n in md.STAT_ATTR_NAMES]))
-    item_names = []
-    for n in md.TRACKED_ITEM_NAMES:
-        item_names += [f"item_{n}_owned", f"item_{n}_cooldown"]
-    blocks.append(("items", item_names))
-    abil_names = []
-    for a in range(1, md.N_ABILITY_SLOTS + 1):
-        abil_names += [f"ability{a}_{attr}" for attr in md.ABILITY_ATTR_NAMES]
-    blocks.append(("abilities", abil_names))
-    blocks.append(("hero_id", [f"hero_id_{k}" for k in range(roster_size)]))
-    blocks.append(("position", ["pos_x", "pos_x_change", "pos_y", "pos_y_change"]))
-    prox = [f"ally_proximity_{j}" for j in range(1, 5)]
-    prox += [f"ally_proximity_{j}_change" for j in range(1, 5)]
-    prox += [f"enemy_proximity_{j}" for j in range(1, 6)]
-    prox += [f"enemy_proximity_{j}_change" for j in range(1, 6)]
-    blocks.append(("proximity", prox))
-    blocks.append(("tower", ["ally_tower_proximity", "ally_tower_proximity_change",
-                             "enemy_tower_proximity", "enemy_tower_proximity_change"]))
-    blocks.append(("visibility", [f"visible_{a}s_ago" for a in range(N_VIS_FLAGS)]))
-    return blocks
+    """(category, source, names) blocks of the full schema, in feature order;
+    `source` names the array `extract_match` fills the block from."""
+    return [
+        ("time", "time", ["time"]),
+        ("state", "state", [f"state_{n}" for n in md.STATE_ATTR_NAMES]),
+        ("stats", "stats", [f"stat_{n}" for n in md.STAT_ATTR_NAMES]),
+        ("items", "items", [f"item_{n}_{a}" for n in md.TRACKED_ITEM_NAMES
+                            for a in ("owned", "cooldown")]),
+        ("abilities", "abilities", [f"ability{a}_{attr}" for a in range(1, md.N_ABILITY_SLOTS + 1)
+                                    for attr in md.ABILITY_ATTR_NAMES]),
+        ("hero_id", "hero_id", [f"hero_id_{k}" for k in range(roster_size)]),
+        ("position", "pos_paired", ["pos_x", "pos_x_change", "pos_y", "pos_y_change"]),
+        ("proximity", "ally", [f"ally_proximity_{j}" for j in range(1, 5)]),
+        ("proximity", "ally_change", [f"ally_proximity_{j}_change" for j in range(1, 5)]),
+        ("proximity", "enemy", [f"enemy_proximity_{j}" for j in range(1, 6)]),
+        ("proximity", "enemy_change", [f"enemy_proximity_{j}_change" for j in range(1, 6)]),
+        ("tower", "tower_paired", ["ally_tower_proximity", "ally_tower_proximity_change",
+                                   "enemy_tower_proximity", "enemy_tower_proximity_change"]),
+        ("visibility", "visibility", [f"visible_{a}s_ago" for a in range(N_VIS_FLAGS)]),
+    ]
+
+
+def _layout(variant, roster_size):
+    """(category, source, names) blocks of a variant, in feature order."""
+    # medium and minimal have no hero_id block, so their names never depend on the roster
+    if variant == "full":
+        return _full_blocks(roster_size)
+    if variant == "medium":
+        return [b for b in _full_blocks(0) if b[0] not in ("hero_id", "abilities")]
+    return ([("state", "health", ["health"]), ("stats", "gold", ["total_gold"]),
+             ("position", "pos", ["pos_x", "pos_y"])]
+            + [b for b in _full_blocks(0) if b[1] in ("ally", "enemy")]
+            + [("tower", "tower", ["ally_tower_proximity", "enemy_tower_proximity"])])
 
 
 def feature_schema(variant, roster_size=md.DEFAULT_ROSTER_SIZE) -> FeatureSchema:
     """Build the ordered schema for a variant."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown schema variant {variant!r}, want one of {VARIANTS}")
-    if variant == "minimal":
-        names = ["health", "total_gold", "pos_x", "pos_y"]
-        cats = ["state", "stats", "position", "position"]
-        names += [f"ally_proximity_{j}" for j in range(1, 5)]
-        cats += ["proximity"] * 4
-        names += [f"enemy_proximity_{j}" for j in range(1, 6)]
-        cats += ["proximity"] * 5
-        names += ["ally_tower_proximity", "enemy_tower_proximity"]
-        cats += ["tower"] * 2
-        return FeatureSchema("minimal", roster_size, tuple(names), tuple(cats))
-    # medium has no hero_id block, so its names never depend on the roster
-    blocks = _full_blocks(roster_size if variant == "full" else 0)
-    if variant == "medium":
-        blocks = [(cat, names) for cat, names in blocks if cat not in ("hero_id", "abilities")]
-    names, cats = [], []
-    for cat, block_names in blocks:
-        names += block_names
-        cats += [cat] * len(block_names)
-    return FeatureSchema(variant, roster_size, tuple(names), tuple(cats))
+    blocks = _layout(variant, roster_size)
+    names = tuple(n for _, _, block in blocks for n in block)
+    cats = tuple(cat for cat, _, block in blocks for _ in block)
+    return FeatureSchema(variant, roster_size, names, cats)
 
 
 def header_schema(variant, roster_size, input_size, what):
@@ -130,32 +127,24 @@ def dump_schema(schema: FeatureSchema) -> str:
 
 
 def _pairwise_dist(pos):
-    """Euclidean distance matrix; pos is (..., 10, 2)."""
-    diff = pos[..., :, None, :] - pos[..., None, :, :]
-    return np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
+    """(..., 10, 10) distance between every pair of heroes; pos is (..., 10, 2)."""
+    x, y = pos[..., 0], pos[..., 1]
+    dx = x[..., :, None] - x[..., None, :]
+    dy = y[..., :, None] - y[..., None, :]
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def _tower_prox(pos, tower_team, tower_pos, tower_alive):
-    """Distance to nearest alive ally/enemy tower per hero; 0 when none.
-
-    pos (..., 10, 2); tower_alive (..., T). Returns (ally, enemy) arrays of
-    shape (..., 10).
-    """
+    """(k, 10, 2) distance to the nearest alive ally and enemy tower per
+    hero, 0 when there is none; pos (k, 10, 2), tower_alive (k, T)."""
     if len(tower_team) == 0:
-        zeros = np.zeros(pos.shape[:-1])
-        return zeros, zeros.copy()
-    diff = pos[..., :, None, :] - tower_pos[..., None, :, :]
-    d = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)  # (..., 10, T)
-    hero_team = np.zeros(md.N_HEROES, dtype=np.int8)
-    hero_team[list(md.TEAM_B_SLOTS)] = 1
-    same = tower_team[None, :] == hero_team[:, None]  # (10, T)
-    out = []
-    for mask in (same, ~same):
-        usable = mask & tower_alive[..., None, :]
-        dm = np.where(usable, d, np.inf)
-        best = dm.min(axis=-1)
-        out.append(np.where(np.isfinite(best), best, 0.0))
-    return out[0], out[1]
+        return np.zeros(pos.shape)
+    diff = pos[:, :, None, :] - tower_pos[None, :, :]
+    d = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)  # (k, 10, T)
+    same = tower_team[None, :] == _TEAM_OF_SLOT[:, None]  # (10, T)
+    best = np.stack([np.where(mask & tower_alive[:, None, :], d, np.inf).min(axis=-1)
+                     for mask in (same, ~same)], axis=-1)
+    return np.where(np.isfinite(best), best, 0.0)
 
 
 def _bulk_visibility(game_times, visible):
@@ -204,24 +193,12 @@ def extract_match(m, schema, indices=None):
     if idx.size and (idx.min() < 0 or idx.max() >= m.n_frames):
         raise InvalidFrame("frame index out of range")
     k = idx.size
+    n = md.N_HEROES
     gt = m.game_time[idx]
     pos = m.pos[idx]  # (k, 10, 2)
-    dists = _pairwise_dist(pos)  # (k, 10, 10)
 
-    ally = np.zeros((k, md.N_HEROES, 4))
-    enemy = np.zeros((k, md.N_HEROES, 5))
-    for s in range(md.N_HEROES):
-        ally[:, s] = np.sort(dists[:, s, _ALLY_IDX[s]], axis=1)
-        enemy[:, s] = np.sort(dists[:, s, _ENEMY_IDX[s]], axis=1)
-
-    if m.has_towers:
-        ally_tw, enemy_tw = _tower_prox(pos, m.tower_team, m.tower_pos, m.tower_alive[idx])
-    else:
-        ally_tw = np.zeros((k, md.N_HEROES))
-        enemy_tw = np.zeros((k, md.N_HEROES))
-        log.warning("match %s has no tower data; tower proximity features are 0", m.match_id)
-
-    def per_second_change(cur):
+    def change(cur):
+        """Per second since the previous sampled frame; 0 at the first."""
         out = np.zeros_like(cur)
         if k > 1:
             dt = np.diff(gt)
@@ -231,60 +208,52 @@ def extract_match(m, schema, indices=None):
             out[1:] = np.where(ok.reshape(shape), (cur[1:] - cur[:-1]) / dt_safe, 0.0)
         return out
 
-    pos_chg = per_second_change(pos)
-    ally_chg = per_second_change(ally)
-    enemy_chg = per_second_change(enemy)
-    ally_tw_chg = per_second_change(ally_tw)
-    enemy_tw_chg = per_second_change(enemy_tw)
-    vis = _bulk_visibility(gt, m.visible[idx]).astype(np.float64)
+    def paired(cur):
+        """Each value of the last axis followed by its change."""
+        return np.stack([cur, change(cur)], axis=-1)
 
-    out = np.empty((k, md.N_HEROES, schema.per_hero_count))
-    if schema.variant == "minimal":
-        out[:, :, 0] = m.health[idx]
-        out[:, :, 1] = m.stats[idx, :, md.GOLD_STAT_INDEX]
-        out[:, :, 2] = pos[:, :, 0]
-        out[:, :, 3] = pos[:, :, 1]
-        out[:, :, 4:8] = ally
-        out[:, :, 8:13] = enemy
-        out[:, :, 13] = ally_tw
-        out[:, :, 14] = enemy_tw
-    else:
-        c = 0
-        out[:, :, c] = gt[:, None]
-        c += 1
-        out[:, :, c:c + md.N_STATE_ATTRS] = m.state[idx]
-        c += md.N_STATE_ATTRS
-        out[:, :, c:c + md.N_STAT_ATTRS] = m.stats[idx]
-        c += md.N_STAT_ATTRS
-        items = np.stack([m.item_owned[idx].astype(np.float64), m.item_cooldown[idx]], axis=-1)
-        out[:, :, c:c + 2 * md.N_TRACKED_ITEMS] = items.reshape(k, md.N_HEROES, -1)
-        c += 2 * md.N_TRACKED_ITEMS
-        if schema.variant == "full":
-            out[:, :, c:c + md.N_ABILITY_SLOTS * md.N_ABILITY_ATTRS] = \
-                m.abilities[idx].reshape(k, md.N_HEROES, -1)
-            c += md.N_ABILITY_SLOTS * md.N_ABILITY_ATTRS
-            onehot = np.zeros((md.N_HEROES, schema.roster_size))
-            onehot[np.arange(md.N_HEROES), m.hero_ids] = 1.0
-            out[:, :, c:c + schema.roster_size] = onehot[None]
-            c += schema.roster_size
-        out[:, :, c] = pos[:, :, 0]
-        out[:, :, c + 1] = pos_chg[:, :, 0]
-        out[:, :, c + 2] = pos[:, :, 1]
-        out[:, :, c + 3] = pos_chg[:, :, 1]
-        c += 4
-        out[:, :, c:c + 4] = ally
-        out[:, :, c + 4:c + 8] = ally_chg
-        out[:, :, c + 8:c + 13] = enemy
-        out[:, :, c + 13:c + 18] = enemy_chg
-        c += 18
-        out[:, :, c] = ally_tw
-        out[:, :, c + 1] = ally_tw_chg
-        out[:, :, c + 2] = enemy_tw
-        out[:, :, c + 3] = enemy_tw_chg
-        c += 4
-        out[:, :, c:c + N_VIS_FLAGS] = vis
-        c += N_VIS_FLAGS
-        assert c == schema.per_hero_count
+    @functools.cache
+    def nearest():
+        """Sorted distances to the 4 allies and to the 5 enemies."""
+        dists = _pairwise_dist(pos)  # (k, 10, 10)
+        return [np.sort(np.take_along_axis(dists, t[None], axis=2), axis=2)
+                for t in (_ALLY_IDX, _ENEMY_IDX)]
+
+    def towers():
+        if not m.has_towers:
+            log.warning("match %s has no tower data; tower proximity features are 0", m.match_id)
+            return np.zeros((k, n, 2))
+        return _tower_prox(pos, m.tower_team, m.tower_pos, m.tower_alive[idx])
+
+    def hero_id():
+        onehot = np.zeros((n, schema.roster_size))
+        onehot[np.arange(n), m.hero_ids] = 1.0
+        return np.broadcast_to(onehot, (k, n, schema.roster_size))
+
+    sources = {
+        "time": lambda: np.broadcast_to(gt[:, None], (k, n)),
+        "health": lambda: m.health[idx],
+        "gold": lambda: m.stats[idx, :, md.GOLD_STAT_INDEX],
+        "state": lambda: m.state[idx],
+        "stats": lambda: m.stats[idx],
+        "items": lambda: np.stack([m.item_owned[idx], m.item_cooldown[idx]], axis=-1),
+        "abilities": lambda: m.abilities[idx],
+        "hero_id": hero_id,
+        "pos": lambda: pos,
+        "pos_paired": lambda: paired(pos),
+        "ally": lambda: nearest()[0],
+        "ally_change": lambda: change(nearest()[0]),
+        "enemy": lambda: nearest()[1],
+        "enemy_change": lambda: change(nearest()[1]),
+        "tower": towers,
+        "tower_paired": lambda: paired(towers()),
+        "visibility": lambda: _bulk_visibility(gt, m.visible[idx]),
+    }
+    out = np.empty((k, n, schema.per_hero_count))
+    c = 0
+    for _, source, names in _layout(schema.variant, schema.roster_size):
+        out[:, :, c:c + len(names)] = sources[source]().reshape(k, n, len(names))
+        c += len(names)
 
     if not np.isfinite(out).all():
         raise InvalidFrame("non-finite feature value in bulk extraction")
@@ -353,7 +322,7 @@ def load_norm_stats(path) -> NormalizationStats:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     head = lines[0].split("\t") if lines else []
     if (len(head) != 3 or head[0] != "schema" or head[1] not in VARIANTS
-            or not head[2].isdigit()):
+            or not head[2].isdecimal()):
         raise SchemaMismatch(f"{path}: bad stats header")
     schema = header_schema(head[1], int(head[2]), len(text), path)
     body = lines[1:]

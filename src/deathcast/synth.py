@@ -43,9 +43,9 @@ from . import match_data as md
 from .dataset import downsample, label_frames
 from .errors import ForeignMatch, InvalidConfig, SchemaViolation
 from .evaluation import average_precision, pr_curve
+from .features import _TEAM_OF_SLOT, _pairwise_dist
 from .util import spawn_rngs, write_lines
 
-_TEAM_OF_SLOT = np.array([0] * 5 + [1] * 5, dtype=np.int8)
 _ENEMY = _TEAM_OF_SLOT[:, None] != _TEAM_OF_SLOT[None, :]  # (10, 10): opposite teams
 LIVE_HEALTH_FLOOR = 1.0  # an alive hero never displays 0 health
 
@@ -160,14 +160,6 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _hero_distances(pos):
-    """(n, 10, 10) distance between every pair of heroes at every tick."""
-    x, y = pos[..., 0], pos[..., 1]
-    dx = x[:, :, None] - x[:, None, :]
-    dy = y[:, :, None] - y[:, None, :]
-    return np.sqrt(dx * dx + dy * dy)
-
-
 def _drivers(cfg, pos, dist, visible, tower_team, tower_pos, tower_alive):
     """(pre, rate) per tick and hero, both death-independent.
 
@@ -175,7 +167,7 @@ def _drivers(cfg, pos, dist, visible, tower_team, tower_pos, tower_alive):
     rate is the live-health drift in hp/s: regen when no enemy is near,
     damage scaled by the number of nearby enemies otherwise. Everything
     here is a plain function of recorded position/visibility/tower fields
-    (`dist` is `_hero_distances(pos)`), shared verbatim between the
+    (`dist` is `_pairwise_dist(pos)`), shared verbatim between the
     generator and the oracle.
     """
     n_near = ((dist < cfg.enemy_radius) & _ENEMY).sum(axis=2)
@@ -387,7 +379,7 @@ def generate_match(cfg: SynthConfig, match_seed) -> md.MatchRecord:
     # --- movement: never reacts to deaths ---
     walk = _orbit_path if cfg.movement == "orbit" else _waypoint_path
     pos = walk(cfg, rng_move, n)
-    dist = _hero_distances(pos)
+    dist = _pairwise_dist(pos)
     visible = ((dist < cfg.sight_radius) & _ENEMY).any(axis=2)
     tower_alive = times[:, None] < tower_death_time[None, :]
     pre, rate = _drivers(cfg, pos, dist, visible, tower_team, tower_pos, tower_alive)
@@ -489,7 +481,7 @@ def _require_synth(cfg, m):
 
 
 def _match_drivers(cfg, m):
-    return _drivers(cfg, m.pos, _hero_distances(m.pos), m.visible,
+    return _drivers(cfg, m.pos, _pairwise_dist(m.pos), m.visible,
                     m.tower_team, m.tower_pos, m.tower_alive)
 
 

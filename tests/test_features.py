@@ -1,3 +1,4 @@
+import hashlib
 
 import numpy as np
 import pytest
@@ -44,6 +45,21 @@ class TestSchema:
         schema = ft.feature_schema("medium")
         assert not any(c in ("hero_id", "abilities") for c in schema.categories)
 
+    @pytest.mark.parametrize("variant,names_digest,categories_digest", [
+        ("minimal", "2ca439c0d81812dd", "d6cac76393951ccc"),
+        ("medium", "a425680b00392a91", "24a6b65b74534f9d"),
+        ("full", "ac95b1b4803fcb41", "a9951b24fd4b3ed4"),
+    ])
+    def test_feature_order_is_pinned(self, variant, names_digest, categories_digest):
+        # the oracle looks features up by name, so only this catches a reorder
+        # that moves the schema and the extraction together
+        schema = ft.feature_schema(variant, roster_size=130)
+
+        def digest(xs):
+            return hashlib.blake2b("\n".join(xs).encode(), digest_size=8).hexdigest()
+        assert digest(schema.names) == names_digest
+        assert digest(schema.categories) == categories_digest
+
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             ft.feature_schema("huge")
@@ -77,6 +93,13 @@ class TestExtract:
         expect = (m.pos[1, :, 0] - m.pos[0, :, 0]) / dt
         got = feats[1, :, schema.index_of("pos_x_change")]
         assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("variant", ft.VARIANTS)
+    def test_no_indices_gives_empty_block(self, rng, variant):
+        schema = ft.feature_schema(variant)
+        feats, gt = ft.extract_match(random_match(rng, n_frames=5), schema, [])
+        assert feats.shape == (0, 10, schema.per_hero_count)
+        assert gt.shape == (0,)
 
     def test_onehot_single_bit(self, rng):
         m = random_match(rng, n_frames=1)
@@ -254,6 +277,7 @@ class TestNormalization:
         lambda lines: lines[:1] + ["health\t0.0"] + lines[2:],
         lambda lines: lines[:1] + ["health\tlow\thigh"] + lines[2:],
         lambda lines: lines[:1] + [lines[2], lines[1]] + lines[3:],
+        lambda lines: ["schema\tminimal\t\u00b2"] + lines[1:],
     ])
     def test_malformed_stats_file_is_typed_error(self, tmp_path, edit, bounded_schema):
         schema = ft.feature_schema("minimal")
