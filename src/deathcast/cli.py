@@ -20,7 +20,8 @@ from . import features as ft
 from . import match_data as md
 from . import synth as sy
 from . import train as tr
-from .errors import DeathcastError, InsufficientPositives, SchemaViolation, UsageError
+from .errors import (DeathcastError, InsufficientPositives, InvalidConfig, SchemaViolation,
+                     UsageError)
 from .evaluation import (evaluate_test, export_timeline, save_eval_report,
                          save_timeline, save_ttd_distribution, time_to_death_distribution)
 from .model import ModelConfig, default_config, load_checkpoint
@@ -150,11 +151,11 @@ def cmd_schema_dump(args, opt):
 
 
 def _synth_file(job):
-    """Worker: generate match i of a config and save it under out; returns
+    """Worker: generate match i of a config and save it to path; returns
     its match id."""
-    cfg, i, out, compress = job
+    cfg, i, path, compress = job
     m = sy.generate_match(cfg, i)
-    md.save_match(m, out / f"match_{i:05d}.jsonl", compress=compress)
+    md.save_match(m, path, compress=compress)
     return m.match_id
 
 
@@ -164,9 +165,12 @@ def cmd_synth(args, opt):
                          pause_length_ticks=args.pause_ticks)
     sy.validate_config(cfg)
     out = Path(args.out)
+    jobs = [(cfg, i, out / f"match_{i:05d}.jsonl", args.compress) for i in range(cfg.n_matches)]
+    stale = sorted({*out.glob("*.jsonl"), *out.glob("*.jsonl.gz")} - {p for _, _, p, _ in jobs})
+    if stale:  # ingest would take it, though synth_config.tsv does not describe it
+        raise InvalidConfig(f"{stale[0]} is a match file this synth would not write")
     out.mkdir(parents=True, exist_ok=True)
     sy.save_synth_sidecar(cfg, out / "synth_config.tsv")
-    jobs = [(cfg, i, out, args.compress) for i in range(cfg.n_matches)]
     ids = list(ordered_process_map(_synth_file, jobs, opt.threads))
     print(f"wrote {len(ids)} matches to {out}")
     return 0
@@ -227,10 +231,9 @@ def _ingest_file(job):
     encoding error only after its duplicate and roster checks."""
     i, path, out = job
     try:
-        raw = path.read_bytes()
-        m = md.parse_match(raw)  # the raw bytes, so a doubly gzipped file is refused
+        text = md.gunzip(path.read_bytes())
+        m = md._parse_text(text)  # not parse_match, which would gunzip a doubly gzipped file
         _check_store_name(m.match_id)
-        text = md.gunzip(raw)
     except DeathcastError as exc:
         return exc
     try:

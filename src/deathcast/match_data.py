@@ -36,6 +36,7 @@ that digest says they hold the same match.
 
 from __future__ import annotations
 
+import functools
 import gzip
 import hashlib
 import io
@@ -45,7 +46,7 @@ import struct
 import sys
 import zlib
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -306,11 +307,20 @@ def gunzip(data):
 _FRAME_BLOCK = 16
 
 _HEADER_FIELDS = ("match_id", "tick_interval", "roster_size", "hero_ids")
-_FRAME_FIELDS = ("tick", "game_time", "paused", "heroes")
-_HERO_FIELDS = ("slot", "hero_id", "alive", "health", "max_health", "mana", "max_mana",
-                "pos_x", "pos_y", "visible_to_enemy", "state_attrs", "stat_attrs",
-                "items", "abilities")
-_TOWER_FIELDS = ("team", "x", "y", "alive")
+# A frame's, a hero's and a tower's object as write_match renders them: JSON
+# in which a string names the column of a value, a tuple is a list element
+# written only while its item is owned or its ability present, and None is
+# filled in by _line_layout (the slot, the hero list)
+_FRAME_LINE = {"tick": "tick", "game_time": "game_time", "paused": "paused", "heroes": None}
+_HERO_LINE = {
+    "slot": None, "hero_id": "hero_ids", "alive": "alive", "health": "health",
+    "max_health": "max_health", "mana": "mana", "max_mana": "max_mana", "pos_x": "pos",
+    "pos_y": "pos", "visible_to_enemy": "visible", "state_attrs": ["state"] * N_STATE_ATTRS,
+    "stat_attrs": ["stats"] * N_STAT_ATTRS,
+    "items": [(j, "item_cooldown") for j in range(N_TRACKED_ITEMS)],
+    "abilities": [("abilities",) * N_ABILITY_ATTRS] * N_ABILITY_SLOTS}
+_TOWER_LINE = {"team": "tower_team", "x": "tower_pos", "y": "tower_pos", "alive": "tower_alive"}
+_FRAME_FIELDS, _HERO_FIELDS, _TOWER_FIELDS = map(tuple, (_FRAME_LINE, _HERO_LINE, _TOWER_LINE))
 _FRAME_KEYS = frozenset(_FRAME_FIELDS)
 _FRAME_KEYS_TOWERS = _FRAME_KEYS | {"towers"}
 
@@ -403,8 +413,13 @@ def parse_match(source) -> MatchRecord:
     data = source.read() if hasattr(source, "read") else source
     if not isinstance(data, (bytes, bytearray)):
         raise TypeError("parse_match wants bytes or a binary stream")
+    return _parse_text(gunzip(bytes(data)))
+
+
+def _parse_text(data) -> MatchRecord:
+    """parse_match of match text that is not gzip-compressed."""
     try:
-        text = gunzip(bytes(data)).decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedRecord(0, f"not valid UTF-8: {exc}") from None
 
@@ -583,62 +598,102 @@ def _validated(m):
 # Writing
 
 
-def _runs(flat, lengths):
-    """flat, cut into consecutive lists of the given lengths."""
-    it = iter(flat)
-    return [list(islice(it, k)) for k in lengths]
+@functools.lru_cache(maxsize=16)
+def _line_layout(n_towers):
+    """A frame line with every item owned and every ability present (no
+    towers section when n_towers is None) as (text, condition, piece,
+    columns): pieces of text, with "%s" for each value and a comma before
+    every list element, each written when flags[condition] holds (flag 0
+    always, then per hero one per item owned and one per ability present);
+    the piece of each value, in line order; each column's values' numbers.
+    """
+    frame = {**_FRAME_LINE, "heroes": [{**_HERO_LINE, "slot": s} for s in range(N_HEROES)]}
+    if n_towers is not None:
+        frame["towers"] = [_TOWER_LINE] * n_towers
+    text, cond, piece, where = [""], [0], [], {}
 
+    def add(part, flag, column=None):
+        if cond[-1] != flag:
+            text.append("")
+            cond.append(flag)
+        text[-1] += part
+        if column is not None:
+            where.setdefault(column, []).append(len(piece))
+            piece.append(len(text) - 1)
 
-def _hero_objs(m, rows):
-    """The hero objects of the frames in a slice, [frame][slot]. Each column
-    is read once with tolist(), so the values are Python numbers already;
-    items and abilities are read only where owned and present."""
-    cols = [m.alive, m.health, m.max_health, m.mana, m.max_mana, m.pos[..., 0],
-            m.pos[..., 1], m.visible, m.state, m.stats]
-    cols = [c[rows].tolist() for c in cols]
-    owned, count = m.item_owned[rows], m.ability_count[rows]
-    # json writes an (id, cooldown) tuple as a two-element array
-    items = _runs(zip(np.nonzero(owned)[2].tolist(), m.item_cooldown[rows][owned].tolist()),
-                  owned.sum(axis=2).ravel().tolist())
-    present = np.arange(N_ABILITY_SLOTS) < count[..., None]
-    abilities = _runs(m.abilities[rows][present].tolist(), count.ravel().tolist())
-    hero_ids = m.hero_ids.tolist()
-    return [
-        [{"slot": s, "hero_id": hero_ids[s], "alive": alive[s], "health": health[s],
-          "max_health": max_health[s], "mana": mana[s], "max_mana": max_mana[s],
-          "pos_x": pos_x[s], "pos_y": pos_y[s], "visible_to_enemy": visible[s],
-          "state_attrs": state[s], "stat_attrs": stats[s],
-          "items": items[f * N_HEROES + s], "abilities": abilities[f * N_HEROES + s]}
-         for s in range(N_HEROES)]
-        for f, (alive, health, max_health, mana, max_mana, pos_x, pos_y, visible, state,
-                stats) in enumerate(zip(*cols))
-    ]
+    def emit(node, lead="", flag=0):
+        if type(node) is tuple:
+            node, flag = list(node), max(cond) + 1
+        if type(node) is dict:
+            for i, (key, value) in enumerate(node.items()):
+                emit(value, (lead + "{" if i == 0 else ",") + f'"{key}":', flag)
+            add("}", flag)
+        elif type(node) is list:
+            add(lead + "[", flag)
+            for value in node:
+                emit(value, ",", flag)
+            add("]", flag)
+        else:
+            add(lead + ("%s" if type(node) is str else str(node)), flag,
+                node if type(node) is str else None)
+
+    emit(frame)
+    add("\n", 0)
+    columns = [(name, np.array(numbers)) for name, numbers in where.items()]
+    return np.array(text, dtype=object), np.array(cond), np.array(piece), columns
 
 
 def write_match(m: MatchRecord) -> bytes:
-    """Serialize a record to the canonical line-delimited byte form.
-
-    Deterministic: two writes of the same record are byte-identical, and
-    parse_match(write_match(m)) == m field for field.
+    """Serialize a record to the canonical line-delimited byte form: each
+    line is json.dumps(obj, separators=(",", ":")) of its object (compact,
+    fields in FORMAT order, _HERO_FIELDS for a hero, Python's float repr,
+    lower-case booleans). Only a record that validate_match accepts is
+    written (SchemaViolation otherwise), so parse_match(write_match(m)) == m.
+    A run of frames that own the same items and abilities has one line
+    template, with each value bitwise-equal in all its frames rendered once.
     """
+    _validated(m)
     out = io.StringIO()
     # json.dumps runs the C encoder; json.dump streams through the Python one
     dump = lambda obj: out.write(json.dumps(obj, separators=(",", ":")) + "\n")  # noqa: E731
     dump({"match_id": m.match_id, "tick_interval": m.tick_interval,
           "roster_size": m.roster_size, "hero_ids": m.hero_ids.tolist()})
-    if m.has_towers:
-        towers = [(t, x, y) for t, (x, y) in zip(m.tower_team.tolist(), m.tower_pos.tolist())]
-    # a block of frames at a time bounds the Python objects held at once
-    for start in range(0, m.n_frames, _FRAME_BLOCK):
-        rows = slice(start, start + _FRAME_BLOCK)
-        frames = zip(m.tick[rows].tolist(), m.game_time[rows].tolist(),
-                     m.paused[rows].tolist(), _hero_objs(m, rows))
-        for k, (tick, game_time, paused, heroes) in enumerate(frames):
-            obj = {"tick": tick, "game_time": game_time, "paused": paused, "heroes": heroes}
-            if m.has_towers:
-                obj["towers"] = [{"team": t, "x": x, "y": y, "alive": a} for (t, x, y), a
-                                 in zip(towers, m.tower_alive[start + k].tolist())]
-            dump(obj)
+    n, owned, count = m.n_frames, m.item_owned, m.ability_count
+    text, cond, piece, layout = _line_layout(len(m.tower_team) if m.has_towers else None)
+    cut = (owned[1:] != owned[:-1]).any(axis=(1, 2)) | (count[1:] != count[:-1]).any(axis=1)
+    starts = np.flatnonzero(np.r_[True, cut])
+    head = np.repeat(starts, np.diff(np.r_[starts, n]))  # each frame's run's first frame
+    # per run: always, then per hero whether each item is owned, each ability present
+    flags = np.concatenate([owned[starts], np.arange(N_ABILITY_SLOTS) < count[starts, :, None]],
+                           axis=2).reshape(len(starts), -1)
+    flags = np.c_[np.ones(len(starts), dtype=bool), flags]
+    # per run and value, whether all the run's frames hold it bit for bit
+    fixed, columns = np.empty((len(starts), len(piece)), dtype=bool), []
+    for name, where in layout:
+        col = getattr(m, name)
+        if name in ("hero_ids", "tower_team", "tower_pos"):  # the same in every frame
+            col = np.broadcast_to(col, (n, *col.shape))
+        col = col.reshape(n, -1)
+        bits = col.view(f"u{col.itemsize}")
+        fixed[:, where] = np.logical_and.reduceat(bits == bits[head], starts)
+        columns.append((np.array(["false", "true"], dtype=object)[bits]
+                        if col.dtype == bool else col, where))
+    block = np.empty((_FRAME_BLOCK, len(piece)), dtype=object)
+    run = {a: r for r, a in enumerate(starts.tolist())}
+    edges = np.union1d(starts, [*range(0, n, _FRAME_BLOCK), n]).tolist()
+    for x, y in zip(edges, edges[1:]):
+        i = x % _FRAME_BLOCK
+        if i == 0:  # the next block of frames: every value, as "%s" spells it
+            for col, where in columns:
+                block[:min(n - x, _FRAME_BLOCK), where] = col[x:x + _FRAME_BLOCK]
+        if x in run:  # a run starts: its template, with the fixed values rendered
+            written = flags[run[x], cond]
+            shown = written[piece]
+            values = np.where(fixed[run[x]], block[i], "%s")[shown]
+            template = "".join(text[written].tolist()).replace("[,", "[") % tuple(values.tolist())
+            slots = np.flatnonzero(shown & ~fixed[run[x]])
+        rows = block[i:i + y - x, slots].tolist()
+        out.write("".join([template % tuple(row) for row in rows]))
     dump({"deaths": [{"slot": s, "time": t}
                      for s, t in zip(m.death_slot.tolist(), m.death_time.tolist())]})
     return out.getvalue().encode("utf-8")

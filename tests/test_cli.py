@@ -474,6 +474,19 @@ class TestIngest:
         assert "reject\trecord.jsonl\t" in err and "reject\ttwice.jsonl.gz\t" in err
         assert len(cli.read_store(store)) == 1
 
+    def test_decompresses_each_file_once(self, tmp_path, monkeypatch):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        cfg = sy.SynthConfig(n_matches=3, n_frames=60, seed=8)
+        for i, name in enumerate(("a.jsonl.gz", "b.jsonl.gz", "c.jsonl")):
+            md.save_match(sy.generate_match(cfg, i), raw / name)
+        calls, decompress = [], gzip.decompress
+        monkeypatch.setattr(gzip, "decompress", lambda data: calls.append(1) or decompress(data))
+        assert run_cli("ingest", "--matches", str(raw), "--out", str(tmp_path / "store"),
+                       "--threads", "1") == 0
+        assert len(cli.read_store(tmp_path / "store")) == 3
+        assert len(calls) == 2
+
     def test_all_rejected_is_data_error(self, tmp_path, capsys):
         raw = tmp_path / "raw"
         raw.mkdir()
@@ -486,6 +499,34 @@ class TestIngest:
         rc = run_cli("ingest", "--matches", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "s"))
         assert rc == cli.EXIT_IO
+
+
+class TestSynth:
+    def synth(self, raw, matches, seed):
+        return run_cli("synth", "--out", str(raw), "--matches", str(matches), "--frames", "30",
+                       "--seed", str(seed), "--threads", "1")
+
+    @pytest.mark.parametrize("first,stray", [(12, "match_00010.jsonl"), (10, "other.jsonl.gz")])
+    def test_refuses_match_files_it_would_not_write(self, tmp_path, capsys, first, stray):
+        raw = tmp_path / "raw"
+        assert self.synth(raw, first, 1) == 0
+        if not (raw / stray).exists():
+            (raw / stray).write_bytes(b"a match file of another run")
+        before = tree(raw)
+        capsys.readouterr()
+        assert self.synth(raw, 10, 2) == cli.EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error\tkind=InvalidConfig\texit=3\t")
+        assert str(raw / stray) in err[0]
+        assert tree(raw) == before
+
+    def test_rerun_into_its_own_output(self, tmp_path):
+        raw = tmp_path / "raw"
+        assert self.synth(raw, 3, 1) == 0
+        first = tree(raw)
+        assert self.synth(raw, 3, 1) == 0
+        assert tree(raw) == first
+        assert self.synth(raw, 2, 1) == cli.EXIT_DATA  # fewer matches leave one behind
 
 
 def tree(root):

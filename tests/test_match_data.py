@@ -311,8 +311,61 @@ class TestRoundTrip:
                                     death_slot=[], death_time=[])]
         cfg = sy.SynthConfig(n_frames=90, seed=4, pause_count=2, pause_length_ticks=10)
         cases += [sy.generate_match(cfg, i) for i in range(2)]
+        # one run of structure: constancy is bitwise, so a lone -0.0 among
+        # 0.0 (and the reverse) is formatted per frame, not baked in
+        m = sy.generate_match(sy.SynthConfig(n_frames=50, seed=5), 0)
+        for usual, odd in ((0.0, -0.0), (-0.0, 0.0)):
+            health = m.health.copy()
+            health[:, 2] = usual
+            health[17, 2] = odd
+            cases.append(m.replace(health=health))
+        # reprs in exponent notation, fixed across frames and changing
+        state, stats = m.state.copy(), m.stats.copy()
+        extremes = [1e-05, 1e+16, 5e-324, 1.7976931348623157e+308]
+        state[:, 1, :4] = stats[:, 1, :4] = extremes
+        stats[::2, 1, :4] = np.negative(extremes)
+        cases.append(m.replace(state=state, stats=stats))
+        # one frame, with and without towers, and a towers section of none
+        one = np.arange(m.n_frames) < 1
+        frame0 = m.replace(**{name: getattr(m, name)[one] for name, _, shape in md._COLUMNS
+                              if shape[0] == "frames" and getattr(m, name) is not None},
+                           death_slot=[], death_time=[])
+        cases += [random_match(rng, n_frames=1, with_towers=True),
+                  random_match(rng, n_frames=1, with_towers=False), frame0,
+                  frame0.replace(tower_team=None, tower_pos=None, tower_alive=None),
+                  m.replace(tower_team=[], tower_pos=np.zeros((0, 2)),
+                            tower_alive=np.zeros((m.n_frames, 0), dtype=bool))]
+        # longer than two frame blocks; hero 3 gains an item and an ability
+        # mid-match, which starts a run with a template of its own
+        assert m.n_frames > 2 * md._FRAME_BLOCK
+        owned, cooldown = m.item_owned.copy(), m.item_cooldown.copy()
+        item = int(np.flatnonzero(~owned[0, 3])[0])
+        owned[20:, 3, item] = True
+        cooldown[20:, 3, item] = np.linspace(9.0, 0.0, m.n_frames - 20)
+        count, abilities = m.ability_count.copy(), m.abilities.copy()
+        count[40:, 3] += 1
+        abilities[40:, 3, count[0, 3]] = [2.0, 600.0, 75.0, 12.5, 0.0, 1.0]
+        cases.append(m.replace(item_owned=owned, item_cooldown=cooldown,
+                               ability_count=count, abilities=abilities))
+        # the random records of acceptance criterion 10 (its rng fixture)
+        crit10 = np.random.default_rng(20260808)
+        cases += [random_match(crit10) for _ in range(40)]
         for m in cases:
             assert md.write_match(m) == reference_write_match(m)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda m: {"health": np.where(np.arange(10) == 4, np.nan, m.health)}, "non-finite"),
+        (lambda m: {"pos": np.where(np.arange(2) == 1, np.inf, m.pos)}, "non-finite"),
+        (lambda m: {"health": m.max_health + 1.0}, "exceeds max_health"),
+    ], ids=["nan health", "inf position", "health above max_health"])
+    def test_invalid_record_is_not_written(self, rng, tmp_path, edit, message):
+        m = random_match(rng, n_frames=6)
+        bad = m.replace(**edit(m))
+        with pytest.raises(SchemaViolation, match=message):
+            md.write_match(bad)
+        with pytest.raises(SchemaViolation, match=message):
+            md.save_match(bad, tmp_path / "m.jsonl.gz")
+        assert list(tmp_path.iterdir()) == []
 
     def test_writes_are_deterministic(self, rng):
         m = random_match(rng)
